@@ -11,6 +11,7 @@ normalization (the conversion from entrywise coordinates would be
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -84,10 +85,7 @@ def thermo_delta(pot_a: Potential, pot_b: Potential, n: int, m: int,
     var_total = 0.0
     for k, (lam, w) in enumerate(zip(lams, weights)):
         pot_lam = _mix_potential(pot_a, pot_b, float(lam))
-        opts = sampler_opts or SamplerOptions()
-        opts = SamplerOptions(seed=seed.derive(k + 1), step=opts.step,
-                              adapt_steps=opts.adapt_steps, pilot_steps=opts.pilot_steps,
-                              thin=opts.thin, target_accept=opts.target_accept)
+        opts = dataclasses.replace(sampler_opts or SamplerOptions(), seed=seed.derive(k + 1))
         ens = sample_gibbs(pot_lam, n, m, samples_per_node, opts)
         dvals = np.array([pot_b.value(t) - pot_a.value(t) for t in ens.tuples()])
         ess = max(ens.diagnostics.get("ess", len(dvals)), 1.0)

@@ -1,10 +1,12 @@
 """Gibbs random-matrix ensembles: density proportional to exp(-n^2 phi(X)).
 
-Potentials are strongly convex scalar functions of a MatrixTuple.  Trace
-polynomials get analytic gradients through the cyclic-derivative rule;
-anything else falls back to central finite differences.  Sampling is
-Metropolis-adjusted Langevin in the tr_n metric, with step adaptation during
-burn-in only, so the recorded chain satisfies detailed balance.
+Potentials are strongly convex scalar functions of a MatrixTuple.  A trace
+polynomial's value and its cyclic-derivative gradient come from one pass over
+each word: shared prefix and suffix products, with identity factors skipped,
+and the value read off as tr_n of the last prefix product.  Sampling is
+Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, one
+value-and-gradient call per proposal, with step adaptation during burn-in
+only, so the recorded chain satisfies detailed balance.
 """
 
 from __future__ import annotations
@@ -114,36 +116,45 @@ class Potential:
         return 1 + max((j for _, w in self.terms for j, _ in w), default=0)
 
     def value(self, x: MatrixTuple) -> float:
-        n = x.n
-        total = 0.0
-        for coef, word in self.terms:
-            acc = np.eye(n, dtype=np.complex128)
-            for j, star in word:
-                mat = x.entries[j]
-                acc = acc @ (mat.conj().T if star else mat)
-            total += (coef * np.trace(acc) / n).real
-        return total
+        return self._trace_pass(x.entries, with_gradient=False)[0]
 
     def gradient(self, x: MatrixTuple) -> MatrixTuple:
-        n = x.n
-        grad = np.zeros_like(x.entries)
-        eye = np.eye(n, dtype=np.complex128)
+        return MatrixTuple(self._trace_pass(x.entries, with_gradient=True)[1])
+
+    def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
+        """phi and its tr_n gradient at the (m, n, n) array ``entries``, in one pass."""
+        return self._trace_pass(entries, with_gradient=True)
+
+    def _trace_pass(self, entries: np.ndarray, with_gradient: bool):
+        """One word-product pass per term, shared by the value and the gradient.
+
+        prefixes[p] is the product of the first p letters and suffixes[p] the
+        product of the letters from position p on; None stands for the
+        identity, which is never multiplied.  The value is tr_n of the last
+        prefix product.
+        """
+        n = entries.shape[1]
+        total = 0.0
+        grad = np.zeros_like(entries) if with_gradient else None
         for coef, word in self.terms:
+            mats = [entries[j].conj().T if star else entries[j] for j, star in word]
+            prefixes = [None]
+            for a in mats:
+                prefixes.append(_times(prefixes[-1], a))
+            total += (coef * np.trace(_or_eye(prefixes[-1], n)) / n).real
+            if grad is None:
+                continue
             k = len(word)
-            mats = [x.entries[j].conj().T if star else x.entries[j] for j, star in word]
-            prefixes = [eye]
-            for a in mats[:-1]:
-                prefixes.append(prefixes[-1] @ a)
-            suffixes = [eye] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suffixes[i] = mats[i] @ suffixes[i + 1]
+            suffixes = [None] * (k + 1)
+            for i in range(k - 1, 0, -1):
+                suffixes[i] = _times(mats[i], suffixes[i + 1])
             for p, (j, star) in enumerate(word):
-                ba = suffixes[p + 1] @ prefixes[p]
+                ba = _or_eye(_times(suffixes[p + 1], prefixes[p]), n)
                 if star:
                     grad[j] += coef * ba
                 else:
                     grad[j] += np.conj(coef) * ba.conj().T
-        return MatrixTuple(grad)
+        return total, grad
 
     def formula_text(self) -> str:
         parts = []
@@ -151,17 +162,6 @@ class Potential:
             letters = "*".join(f"x{j + 1}" + ("'" if star else "") for j, star in word)
             parts.append(f"{logic._fmt_coeff(coef)}*{letters}" if letters else logic._fmt_coeff(coef))
         return "re tr(" + "+".join(parts) + ")" if parts else "re tr(0.0)"
-
-    def check_convexity_spot(self, n: int, m: int, seed: Seed, pairs: int = 20) -> float:
-        """Max violation of the c-strong-convexity midpoint inequality on samples."""
-        rng = seed.rng()
-        triples = []
-        for _ in range(pairs):
-            a = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
-            b = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
-            triples.append((a, b, float(rng.uniform())))
-        rep = check_strong_convexity(self.value, self.c, triples)
-        return rep.max_violation
 
     def gradient_check(self, x: MatrixTuple, h: float = 1e-6) -> float:
         """Max |<grad, e> - finite difference| over a few random directions."""
@@ -174,6 +174,19 @@ class Potential:
             fd = (self.value(x + h * e) - self.value(x + (-h) * e)) / (2 * h)
             worst = max(worst, abs(fd - real_inner(g, e)))
         return worst
+
+
+def _times(b, a):
+    """b @ a, where None stands for the identity."""
+    if b is None:
+        return a
+    if a is None:
+        return b
+    return b @ a
+
+
+def _or_eye(mat, n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.complex128) if mat is None else mat
 
 
 def _formula_to_poly(f: logic.Formula) -> logic.NcPolynomial:
@@ -298,6 +311,17 @@ class SamplerOptions:
     convexity_spot_pairs: int = 12
 
 
+def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
+    """Max violation of the c-strong-convexity midpoint inequality on random pairs."""
+    rng = seed.rng()
+    triples = []
+    for _ in range(pairs):
+        a = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+        b = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+        triples.append((a, b, float(rng.uniform())))
+    return check_strong_convexity(value, c, triples).max_violation
+
+
 def _std_noise(rng, n, m):
     # standard Gaussian for the tr_n real inner product: the orthonormal
     # coordinates are entries/sqrt(n), so entries are sqrt(n)(g1 + i g2)
@@ -336,8 +360,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     opts = opts or SamplerOptions()
     if pot.c <= 0:
         raise SamplerError("sampler requires a strongly convex potential (c > 0)")
-    viol = pot.check_convexity_spot(min(n, 8), m, opts.seed.derive(0),
-                                    opts.convexity_spot_pairs)
+    viol = _convexity_spot(pot.value, pot.c, min(n, 8), m, opts.seed.derive(0),
+                           opts.convexity_spot_pairs)
     if viol > 1e-8:
         raise SamplerError(
             f"potential fails the declared c={pot.c} strong-convexity spot check "
@@ -346,27 +370,32 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     rng = opts.seed.derive(1).rng()
     tau = opts.step if opts.step is not None else 0.5 / (pot.c * n * n)
-    x = MatrixTuple(np.zeros((m, n, n), dtype=np.complex128))
-    v_x = n * n * pot.value(x)
-    g_x = (n * n) * pot.gradient(x)
+    nn = n * n
+    # the chain state is raw (m, n, n) arrays; the energy is n^2 phi
+    x = np.zeros((m, n, n), dtype=np.complex128)
+    v_x, g_x = pot.value_and_gradient(x)
+    v_x, g_x = nn * v_x, g_x * nn
 
     halvings = 0
     accept_window: list[float] = []
+    final_rate = None
     stat_series: list[float] = []
     accepted_total = 0
     proposed_total = 0
 
+    def sq_norm(d):
+        return float(np.real(np.einsum("jab,jab->", np.conj(d), d)) / n)
+
     def mala_step(x, v_x, g_x, tau):
-        noise = MatrixTuple(_std_noise(rng, n, m))
-        mean_fwd = x + (-tau) * g_x
-        prop = mean_fwd + math.sqrt(2 * tau) * noise
-        v_p = n * n * pot.value(prop)
-        g_p = (n * n) * pot.gradient(prop)
-        mean_bwd = prop + (-tau) * g_p
+        noise = _std_noise(rng, n, m)
+        mean_fwd = x + g_x * (-tau)
+        prop = mean_fwd + noise * math.sqrt(2 * tau)
+        v_p, g_p = pot.value_and_gradient(prop)
+        v_p, g_p = nn * v_p, g_p * nn
+        mean_bwd = prop + g_p * (-tau)
         d_fwd = prop - mean_fwd
         d_bwd = x - mean_bwd
-        log_alpha = (v_x - v_p
-                     + (-real_inner(d_bwd, d_bwd) + real_inner(d_fwd, d_fwd)) / (4 * tau))
+        log_alpha = v_x - v_p + (-sq_norm(d_bwd) + sq_norm(d_fwd)) / (4 * tau)
         if math.log(max(rng.uniform(), 1e-300)) < log_alpha:
             return prop, v_p, g_p, True
         return x, v_x, g_x, False
@@ -376,7 +405,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         x, v_x, g_x, ok = mala_step(x, v_x, g_x, tau)
         accept_window.append(1.0 if ok else 0.0)
         if len(accept_window) >= 50:
-            rate = float(np.mean(accept_window))
+            rate = final_rate = float(np.mean(accept_window))
             accept_window.clear()
             lo, hi = opts.target_accept
             if rate < opts.collapse_threshold:
@@ -409,7 +438,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
             x, v_x, g_x, ok = mala_step(x, v_x, g_x, tau)
             proposed_total += 1
             accepted_total += 1 if ok else 0
-        out[i] = x.entries
+        out[i] = x
 
     acc_rate = accepted_total / max(proposed_total, 1)
     ess = count * thin / (2.0 * tau_int)
@@ -420,6 +449,10 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         "thin": thin,
         "ess": min(ess, float(count)),
         "halvings": halvings,
+        # the last 50-step adaptation window; None if adaptation was shorter
+        "adapt_final_rate": final_rate,
+        "adapt_in_window": (final_rate is not None
+                            and opts.target_accept[0] <= final_rate <= opts.target_accept[1]),
     }
     text = pot.formula_text()
     provenance = {

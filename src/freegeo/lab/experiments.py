@@ -358,9 +358,7 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
 
     nu = tp.Quantile1D(_norm.ppf((np.arange(kq) + 0.5) / kq))
     rows = []
-    prev_obj = None
     w2_steps = []
-    phi = None
     for it in range(iters):
         phi, _ = tp.kantorovich_potentials_1d(nu, mu)  # subgradient pushes nu to mu
         log_w = -np.array([phi(x) for x in grid]) - t_reg * grid**2 / 2.0
@@ -384,7 +382,6 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
         rows.append({"iteration": it, "objective": obj, "entropy": h_val,
                      "inner_product": c_val, "quadratic": q_val, "w2_step": step})
         nu = nu_next
-        prev_obj = obj
     report.series["iterates"] = rows
 
     objs = [r["objective"] for r in rows]
@@ -509,18 +506,9 @@ class _EnvelopePotential:
         x_star, _ = self._solve(y)
         return x_star + self.t * y
 
-    def check_convexity_spot(self, n: int, m: int, seed: Seed, pairs: int = 20) -> float:
-        from ..convex import check_strong_convexity
-
-        rng = seed.rng()
-        triples = []
-        for _ in range(pairs):
-            a = MatrixTuple(rng.standard_normal((m, n, n))
-                            + 1j * rng.standard_normal((m, n, n)))
-            b = MatrixTuple(rng.standard_normal((m, n, n))
-                            + 1j * rng.standard_normal((m, n, n)))
-            triples.append((a, b, float(rng.uniform())))
-        return check_strong_convexity(self.value, self.c, triples).max_violation
+    def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
+        y = MatrixTuple(entries)
+        return self.value(y), self.gradient(y).entries
 
 
 def _word_moment(word, env, n) -> complex:

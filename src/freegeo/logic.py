@@ -43,8 +43,6 @@ __all__ = [
 Letter = tuple[str, bool]
 Word = tuple[Letter, ...]
 
-_COEFF_TOL = 0.0  # exact term bookkeeping; zeros are dropped
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):

@@ -1,11 +1,14 @@
 """Potentials, MALA sampling against exact Gaussian oracles, diagnostics, file IO."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freegeo import gibbs, logic, matcore as mc
+from freegeo import entropy, gibbs, logic, matcore as mc
 
 SEED = mc.Seed(4242)
 
@@ -51,6 +54,43 @@ def test_tilt_gradient_at_zero_is_tilt():
     pot = gibbs.Potential.quadratic(1.0, 1).with_tilt(a)
     g = pot.gradient(mc.MatrixTuple.zero(4, 1))
     assert np.allclose(g.entries[0], a[0] * np.eye(4))
+
+
+def fd_gradient(f, entries, h=1e-6):
+    """Central-difference tr_n gradient of a real function f of an (m, n, n) array.
+
+    <g, e> = re sum(conj(g) e) / n, so the (re, im) partial derivatives of f
+    at entry (j, a, b) are (re g_jab, im g_jab) / n.
+    """
+    n = entries.shape[1]
+    grad = np.zeros_like(entries)
+    for pos in np.ndindex(entries.shape):
+        for unit in (1.0, 1.0j):
+            bump = np.zeros_like(entries)
+            bump[pos] = h * unit
+            grad[pos] += (f(entries + bump) - f(entries - bump)) / (2 * h) * unit * n
+    return grad
+
+
+potential_terms = st.lists(
+    st.tuples(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+              st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=4).map(tuple)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=potential_terms, n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_value_and_gradient_match_central_differences(terms, n, seed):
+    # random words: starred letters, length-1 words (tilts) and the empty word
+    pot = gibbs.Potential(terms, c=1.0)
+    rng = np.random.default_rng(seed)
+    x = 0.5 * (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n)))
+    value, grad = pot.value_and_gradient(x)
+    tup = mc.MatrixTuple(x)
+    assert pot.value(tup) == value
+    assert pot.gradient(tup).entries.tobytes() == grad.tobytes()
+    fd = fd_gradient(lambda e: pot.value(mc.MatrixTuple(e)), x)
+    assert np.max(np.abs(grad - fd), initial=0.0) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
 
 
 def test_from_formula_roundtrip():
@@ -109,6 +149,61 @@ def test_sampler_determinism():
     a = gibbs.sample_gibbs(pot, 6, 1, 40, opts)
     b = gibbs.sample_gibbs(pot, 6, 1, 40, opts)
     assert a.samples.tobytes() == b.samples.tobytes()
+
+
+# SHA-256 of sample_gibbs(...).samples: any change to a floating-point operation
+# or an RNG draw of the chain moves them
+GOLDEN_POTENTIALS = {
+    "quadratic": (lambda: gibbs.Potential.quadratic(1.0, 1), 1),
+    "tilt": (lambda: gibbs.Potential.quadratic(1.0, 2).with_tilt([0.4 - 0.3j, 0.2]), 2),
+    "quartic+tilt": (lambda: gibbs.Potential.quadratic(2.0, 2).with_tilt([0.5, -0.25])
+                     .with_quartic(0.1), 2),
+}
+GOLDEN_SAMPLES = {
+    ("quadratic", 4): "86e7e9464d56cf4d970d70a96cb23baf9a9aa83aa0b08b41d33caeb57763f544",
+    ("quadratic", 8): "70dc9dedfea3462906e732c517dda237cf8bdf777610f6abc5e9d918fdd920b7",
+    ("tilt", 4): "384ad1d4afc5ef96184a839b268b6b5e4a254ab92157f6afe7ace988bb0859e8",
+    ("tilt", 8): "aee78017af8626374f270e7912d90fa95dcd1703d162bb968b7c451f1b19aee6",
+    ("quartic+tilt", 4): "afffca96f261b818f8381d81bfb3eb2754fb87b42731ace833778d0324d344de",
+    ("quartic+tilt", 8): "454a17fb632f3236ce1c741005e42b8555a01d4901e438283b4b180f8e959c3b",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(GOLDEN_SAMPLES))
+def test_sampler_golden_samples(name, n):
+    build, m = GOLDEN_POTENTIALS[name]
+    ens = gibbs.sample_gibbs(build(), n, m, 6, gibbs.SamplerOptions(seed=mc.Seed(2024, n)))
+    assert hashlib.sha256(ens.samples.tobytes()).hexdigest() == GOLDEN_SAMPLES[(name, n)]
+
+
+def test_gibbs_entropy_golden_value():
+    rep = entropy.gibbs_entropy(gibbs.Potential.quadratic(1.0, 1).with_quartic(0.25), 8, 1,
+                                seed=mc.Seed(31), nodes=4, samples_per_node=8,
+                                samples_final=16)
+    assert repr(rep.h_n) == "np.float64(1.9552233859297723)"
+
+
+def test_adaptation_window_flag_reports_a_hit():
+    build, m = GOLDEN_POTENTIALS["tilt"]
+    diag = gibbs.sample_gibbs(build(), 4, m, 6,
+                              gibbs.SamplerOptions(seed=mc.Seed(2024, 4))).diagnostics
+    assert diag["adapt_final_rate"] == pytest.approx(0.58)
+    assert diag["adapt_in_window"] is True
+
+
+def test_adaptation_window_flag_reports_a_miss():
+    # a tiny fixed step accepts nearly every proposal, far above the window
+    opts = gibbs.SamplerOptions(seed=SEED, step=1e-7, adapt_steps=50, pilot_steps=50)
+    diag = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 4, 1, 4, opts).diagnostics
+    assert diag["adapt_final_rate"] > opts.target_accept[1]
+    assert diag["adapt_in_window"] is False
+
+
+def test_adaptation_window_flag_without_a_window():
+    opts = gibbs.SamplerOptions(seed=SEED, adapt_steps=20, pilot_steps=50)
+    diag = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 4, 1, 4, opts).diagnostics
+    assert diag["adapt_final_rate"] is None
+    assert diag["adapt_in_window"] is False
 
 
 def test_sampler_tilt_mean_shift():
