@@ -411,19 +411,7 @@ def check_strong_convexity(f: ScalarFn | Callable, c: float, sample_pairs) -> Co
     Returns the maximal violation over the sampled (x, y, alpha) triples;
     a positive value refutes c-strong convexity.
     """
-    fn = f.fn if isinstance(f, ScalarFn) else f
-    worst, worst_at = -math.inf, None
-    count = 0
-    for x, y, alpha in sample_pairs:
-        xa = _axpy(1.0 - alpha, x, _scale(alpha, y))
-        d = _axpy(-1.0, y, x)
-        lhs = fn(xa)
-        rhs = (1 - alpha) * fn(x) + alpha * fn(y) - 0.5 * c * alpha * (1 - alpha) * inner(d, d)
-        v = lhs - rhs
-        count += 1
-        if v > worst:
-            worst, worst_at = v, (x, y, alpha)
-    return ConvexityReport(worst, count, worst_at)
+    return _midpoint_check(f, c, sample_pairs, concave=False)
 
 
 def check_semiconcavity(f: ScalarFn | Callable, u: float, sample_pairs) -> ConvexityReport:
@@ -435,6 +423,11 @@ def check_semiconcavity(f: ScalarFn | Callable, u: float, sample_pairs) -> Conve
     if math.isinf(u):
         n = len(list(sample_pairs))
         return ConvexityReport(-math.inf, n, None)
+    return _midpoint_check(f, u, sample_pairs, concave=True)
+
+
+def _midpoint_check(f, curvature: float, sample_pairs, concave: bool) -> ConvexityReport:
+    """Largest violation of the midpoint inequality with the given curvature constant."""
     fn = f.fn if isinstance(f, ScalarFn) else f
     worst, worst_at = -math.inf, None
     count = 0
@@ -442,8 +435,9 @@ def check_semiconcavity(f: ScalarFn | Callable, u: float, sample_pairs) -> Conve
         xa = _axpy(1.0 - alpha, x, _scale(alpha, y))
         d = _axpy(-1.0, y, x)
         lhs = fn(xa)
-        rhs = (1 - alpha) * fn(x) + alpha * fn(y) - 0.5 * u * alpha * (1 - alpha) * inner(d, d)
-        v = rhs - lhs
+        rhs = ((1 - alpha) * fn(x) + alpha * fn(y)
+               - 0.5 * curvature * alpha * (1 - alpha) * inner(d, d))
+        v = rhs - lhs if concave else lhs - rhs
         count += 1
         if v > worst:
             worst, worst_at = v, (x, y, alpha)

@@ -1,12 +1,13 @@
 """Gibbs random-matrix ensembles: density proportional to exp(-n^2 phi(X)).
 
 Potentials are strongly convex scalar functions of a MatrixTuple.  A trace
-polynomial's value and its cyclic-derivative gradient come from one pass over
-each word: shared prefix and suffix products, with identity factors skipped,
-and the value read off as tr_n of the last prefix product.  Sampling is
-Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, one
-value-and-gradient call per proposal, with step adaptation during burn-in
-only, so the recorded chain satisfies detailed balance.
+polynomial's value and its cyclic-derivative gradient come from one pass of
+``logic.trace_pass`` over each slot word: shared prefix and suffix products,
+with identity factors skipped, and the value read off as tr_n of the last
+prefix product.  Sampling is Metropolis-adjusted Langevin in the tr_n metric
+on raw (m, n, n) arrays, one value-and-gradient call per proposal, with step
+adaptation during burn-in only, so the recorded chain satisfies detailed
+balance.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import logic
-from .convex import check_strong_convexity
-from .matcore import MatrixTuple, Seed, real_inner, tracial_norm
+from .convex import _numeric_gradient, check_strong_convexity
+from .matcore import MatrixTuple, Seed, tracial_norm
 
 __all__ = [
     "Potential",
@@ -51,10 +52,8 @@ class SamplerError(RuntimeError):
 class Potential:
     """phi(X) = sum_i re[coef_i tr_n(word_i(X))], declared c-strongly convex.
 
-    Words use letters (j, star) with j a 0-based slot index.  The gradient in
-    the tr_n real inner product is assembled term by term: an occurrence of
-    x_j with prefix A and suffix B contributes (coef B A)^*, an occurrence of
-    x_j^* contributes coef B A.
+    Words use letters (j, star) with j a 0-based slot index; value and
+    gradient in the tr_n real inner product come from ``logic.trace_pass``.
     """
 
     def __init__(self, terms: list[tuple[complex, tuple[tuple[int, bool], ...]]],
@@ -98,17 +97,7 @@ class Potential:
             raise ValueError(
                 "Gibbs potentials must be quantifier-free; sup/inf gradients are unsupported"
             )
-        poly = _formula_to_poly(ast)
-        terms = []
-        for w, coef in poly.terms.items():
-            word = []
-            for name, star in w:
-                mm = logic._VAR_RE.match(name)
-                if not mm:
-                    raise ValueError(f"unexpected variable {name!r} in potential formula")
-                word.append((int(mm.group(1)) - 1, star))
-            terms.append((coef, tuple(word)))
-        return cls(terms, c, name=logic.print_formula(ast))
+        return cls(logic.compile_poly(_formula_to_poly(ast)), c, name=logic.print_formula(ast))
 
     # -- evaluation -------------------------------------------------------
 
@@ -116,77 +105,23 @@ class Potential:
         return 1 + max((j for _, w in self.terms for j, _ in w), default=0)
 
     def value(self, x: MatrixTuple) -> float:
-        return self._trace_pass(x.entries, with_gradient=False)[0]
+        return logic.trace_pass(self.terms, x.entries)[0].real
 
     def gradient(self, x: MatrixTuple) -> MatrixTuple:
-        return MatrixTuple(self._trace_pass(x.entries, with_gradient=True)[1])
+        return MatrixTuple(logic.trace_pass(self.terms, x.entries, with_gradient=True)[1])
 
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         """phi and its tr_n gradient at the (m, n, n) array ``entries``, in one pass."""
-        return self._trace_pass(entries, with_gradient=True)
-
-    def _trace_pass(self, entries: np.ndarray, with_gradient: bool):
-        """One word-product pass per term, shared by the value and the gradient.
-
-        prefixes[p] is the product of the first p letters and suffixes[p] the
-        product of the letters from position p on; None stands for the
-        identity, which is never multiplied.  The value is tr_n of the last
-        prefix product.
-        """
-        n = entries.shape[1]
-        total = 0.0
-        grad = np.zeros_like(entries) if with_gradient else None
-        for coef, word in self.terms:
-            mats = [entries[j].conj().T if star else entries[j] for j, star in word]
-            prefixes = [None]
-            for a in mats:
-                prefixes.append(_times(prefixes[-1], a))
-            total += (coef * np.trace(_or_eye(prefixes[-1], n)) / n).real
-            if grad is None:
-                continue
-            k = len(word)
-            suffixes = [None] * (k + 1)
-            for i in range(k - 1, 0, -1):
-                suffixes[i] = _times(mats[i], suffixes[i + 1])
-            for p, (j, star) in enumerate(word):
-                ba = _or_eye(_times(suffixes[p + 1], prefixes[p]), n)
-                if star:
-                    grad[j] += coef * ba
-                else:
-                    grad[j] += np.conj(coef) * ba.conj().T
-        return total, grad
+        total, grad = logic.trace_pass(self.terms, entries, with_gradient=True)
+        return total.real, grad
 
     def formula_text(self) -> str:
-        parts = []
+        """``re tr(...)`` text of phi; terms on the same word add."""
+        words: dict[Word, complex] = {}
         for coef, word in self.terms:
-            letters = "*".join(f"x{j + 1}" + ("'" if star else "") for j, star in word)
-            parts.append(f"{logic._fmt_coeff(coef)}*{letters}" if letters else logic._fmt_coeff(coef))
-        return "re tr(" + "+".join(parts) + ")" if parts else "re tr(0.0)"
-
-    def gradient_check(self, x: MatrixTuple, h: float = 1e-6) -> float:
-        """Max |<grad, e> - finite difference| over a few random directions."""
-        rng = np.random.default_rng(0)
-        g = self.gradient(x)
-        worst = 0.0
-        for _ in range(4):
-            e = MatrixTuple(rng.standard_normal(x.entries.shape)
-                            + 1j * rng.standard_normal(x.entries.shape))
-            fd = (self.value(x + h * e) - self.value(x + (-h) * e)) / (2 * h)
-            worst = max(worst, abs(fd - real_inner(g, e)))
-        return worst
-
-
-def _times(b, a):
-    """b @ a, where None stands for the identity."""
-    if b is None:
-        return a
-    if a is None:
-        return b
-    return b @ a
-
-
-def _or_eye(mat, n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128) if mat is None else mat
+            w = tuple((f"x{j + 1}", star) for j, star in word)
+            words[w] = words.get(w, 0) + coef
+        return f"re tr({logic._print_poly(logic.NcPolynomial(words))})"
 
 
 def _formula_to_poly(f: logic.Formula) -> logic.NcPolynomial:
@@ -604,7 +539,7 @@ def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
     opts = eval_opts or logic.EvalOptions()
     vals = np.array([logic.evaluate(ast, t, opts) for t in e.tuples()])
     if lipschitz is None:
-        lipschitz = max(_formula_lipschitz(ast, e), 1e-12)
+        lipschitz = max(_formula_lipschitz(ast, e, opts), 1e-12)
     n = e.n
     scale = lipschitz / (n * math.sqrt(c))
     deltas = np.asarray(deltas if deltas is not None else
@@ -621,7 +556,8 @@ def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
     return HerbstReport(deltas, freqs, bounds, slack, lipschitz)
 
 
-def _formula_lipschitz(ast: logic.Formula, e: Ensemble, max_samples: int = 12) -> float:
+def _formula_lipschitz(ast: logic.Formula, e: Ensemble, opts: logic.EvalOptions,
+                       max_samples: int = 12) -> float:
     """Largest gradient norm of the formula over a few ensemble members."""
     idx = range(0, e.count, max(1, e.count // max_samples))
     try:
@@ -629,18 +565,9 @@ def _formula_lipschitz(ast: logic.Formula, e: Ensemble, max_samples: int = 12) -
         return max(tracial_norm(pot.gradient(e[i])) for i in idx)
     except ValueError:
         pass
-    opts = logic.EvalOptions()
-    worst = 0.0
-    h = 1e-5
-    for i in list(idx)[:4]:
-        x = e[i]
-        grad = np.zeros_like(x.entries)
-        for pos in np.ndindex(x.entries.shape):
-            for unit in (1.0, 1.0j):
-                bump = np.zeros_like(x.entries)
-                bump[pos] = h * unit
-                fp = logic.evaluate(ast, MatrixTuple(x.entries + bump), opts)
-                fm = logic.evaluate(ast, MatrixTuple(x.entries - bump), opts)
-                grad[pos] += (fp - fm) / (2 * h) * unit * x.n
-        worst = max(worst, tracial_norm(MatrixTuple(grad)))
-    return worst
+
+    def value(t: MatrixTuple) -> float:
+        return logic.evaluate(ast, t, opts)
+
+    return max((tracial_norm(_numeric_gradient(value, e[i], h=1e-5)) for i in list(idx)[:4]),
+               default=0.0)

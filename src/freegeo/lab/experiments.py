@@ -436,12 +436,11 @@ class _EnvelopePotential:
         self.t = t
         self.eps = eps
         self.radius = radius
-        self.n, self.m = n, m
         self.target = np.atleast_1d(np.asarray(target, dtype=float))
-        self.words = [w for w in logic._all_words(m, 2) if w]
-        tgt_env = {f"x{j + 1}": self.target[j] * np.eye(n, dtype=complex)
-                   for j in range(m)}
-        self.tau = {w: _word_moment(w, tgt_env, n) for w in self.words}
+        # (word, slot word) for every word of degree 1 or 2, compiled once
+        unit = logic.NcPolynomial(dict.fromkeys((w for w in logic._all_words(m, 2) if w), 1.0))
+        self.words = [(w, sw) for w, (_, sw) in zip(unit.terms, logic.compile_poly(unit))]
+        self.tau = logic.qf_type(MatrixTuple.scalar(self.target, n), 2).moments
         self._warm = MatrixTuple.scalar(self.target, n)
         self._memo: tuple[bytes, tuple] | None = None
 
@@ -449,32 +448,34 @@ class _EnvelopePotential:
         return (f"envelope: sup_x [re<x,y> - eta(x)/{self.eps}] + {self.t}*q, "
                 f"target {self.target.tolist()}, radius {self.radius}")
 
-    def _eta_and_grad(self, x: MatrixTuple):
-        env = {f"x{j + 1}": x.entries[j] for j in range(self.m)}
-        moments = {w: _word_moment(w, env, self.n) for w in self.words}
-        eta = sum(abs(moments[w] - self.tau[w]) for w in self.words)
+    def _eta(self, x: MatrixTuple):
+        """eta(x), and the trace polynomial whose real part has the gradient of eta at x."""
+        moments = logic.qf_type(x, 2).moments
+        eta = sum(abs(moments[w] - self.tau[w]) for w, _ in self.words)
         # d|m_w - tau| = re(conj(unit(m_w - tau)) dm_w): freeze the unit factor
-        # as a coefficient and reuse the cyclic-derivative machinery
+        # as a coefficient and take the cyclic derivative of the trace polynomial
         terms = []
-        for w in self.words:
+        for w, sw in self.words:
             diff = moments[w] - self.tau[w]
             if abs(diff) > 1e-14:
-                terms.append((np.conj(diff) / abs(diff),
-                              tuple((int(name[1:]) - 1, star) for name, star in w)))
-        grad = gibbs.Potential(terms, c=1.0).gradient(x) if terms else 0.0 * x
-        return eta, grad
+                terms.append((np.conj(diff) / abs(diff), sw))
+        return eta, terms
 
     def _solve(self, y: MatrixTuple, iters: int = 30, tol: float = 1e-9):
-        """Projected ascent for the inner sup, warm-started along the chain."""
+        """Projected ascent for the inner sup, warm-started along the chain.
+
+        The gradient of eta is taken only at accepted points.
+        """
         key = y.entries.tobytes()
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1]
         x = self._warm
-        eta, eta_grad = self._eta_and_grad(x)
+        eta, eta_terms = self._eta(x)
         fx = real_inner(x, y) - eta / self.eps
         step = 0.25 * self.eps
         for _ in range(iters):
-            g = y + (-1.0 / self.eps) * eta_grad
+            eta_grad = logic.trace_pass(eta_terms, x.entries, with_gradient=True)[1]
+            g = y + (-1.0 / self.eps) * MatrixTuple(eta_grad)
             gnorm = tracial_norm(g)
             if gnorm < tol:
                 break
@@ -483,10 +484,10 @@ class _EnvelopePotential:
                 x_new = MatrixTuple(np.stack([
                     logic._project_ball(mat, self.radius)
                     for mat in (x + step * g).entries]))
-                eta_new, eta_grad_new = self._eta_and_grad(x_new)
+                eta_new, terms_new = self._eta(x_new)
                 f_new = real_inner(x_new, y) - eta_new / self.eps
                 if f_new > fx + 1e-15:
-                    x, fx, eta_grad = x_new, f_new, eta_grad_new
+                    x, fx, eta_terms = x_new, f_new, terms_new
                     step *= 1.3
                     moved = True
                     break
@@ -509,14 +510,6 @@ class _EnvelopePotential:
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         y = MatrixTuple(entries)
         return self.value(y), self.gradient(y).entries
-
-
-def _word_moment(word, env, n) -> complex:
-    acc = np.eye(n, dtype=complex)
-    for name, star in word:
-        mat = env[name]
-        acc = acc @ (mat.conj().T if star else mat)
-    return complex(np.trace(acc) / n)
 
 
 def run_moment_matrix_scale(cfg: RunConfig) -> Report:

@@ -5,16 +5,22 @@ quantifiers over operator-norm balls, and a fixed library of continuous
 connectives.  Syntax: adjoint is a postfix prime (``x1'``), products inside
 ``tr(...)`` use an explicit ``*``, quantifiers read ``sup{y:1.0} body``.
 
+Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
+``trace_pass``, evaluates every trace polynomial from such words.
+
 Quantified values are computed by projected multistart gradient search over
-the ball, so a returned sup is a certified lower bound (and an inf an upper
-bound) up to the optimizer tolerance.
+the ball.  When the quantifier's body is quantifier-free, a returned sup is a
+certified lower bound (and an inf an upper bound) up to the optimizer
+tolerance; once quantifiers nest, the inner values are themselves
+approximate and the outer value has no certified direction.  ``exp`` clamps
+its argument at 700.
 """
 
 from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +36,8 @@ __all__ = [
     "Quant",
     "EvalOptions",
     "QfType",
+    "compile_poly",
+    "trace_pass",
     "parse",
     "print_formula",
     "evaluate",
@@ -42,6 +50,8 @@ __all__ = [
 # A letter is (name, starred); a word is a tuple of letters.
 Letter = tuple[str, bool]
 Word = tuple[Letter, ...]
+# A compiled term is (coef, slot word): letters (slot, starred), slots 0-based.
+Term = tuple[complex, tuple[tuple[int, bool], ...]]
 
 
 class ParseError(ValueError):
@@ -110,12 +120,6 @@ class NcPolynomial:
             w_adj = tuple((name, not star) for (name, star) in reversed(w))
             out[w_adj] = out.get(w_adj, 0) + np.conj(c)
         return NcPolynomial(out)
-
-    def free_names(self) -> set[str]:
-        return {name for w in self.terms for (name, _) in w}
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def evaluate(self, env: dict[str, np.ndarray], n: int) -> np.ndarray:
         """Substitute matrices for letters; returns the n x n matrix value."""
@@ -201,23 +205,6 @@ _CALL_ARITY = {"max": 2, "min": 2, "abs": 1, "sqrt": 1, "exp": 1, "log": 1}
 _VAR_RE = _re.compile(r"^x([1-9][0-9]*)$")
 
 
-def free_variables(f: Formula) -> set[str]:
-    bound: set[str] = set()
-    out: set[str] = set()
-
-    def walk(node: Formula, bound: frozenset[str]):
-        if isinstance(node, Atom):
-            out.update(name for name in node.poly.free_names() if name not in bound)
-        elif isinstance(node, (Arith, Call)):
-            for a in node.args:
-                walk(a, bound)
-        elif isinstance(node, Quant):
-            walk(node.body, bound | {node.var})
-
-    walk(f, frozenset(bound))
-    return out
-
-
 def quantifier_depth(f: Formula) -> int:
     if isinstance(f, Quant):
         return 1 + quantifier_depth(f.body)
@@ -228,6 +215,81 @@ def quantifier_depth(f: Formula) -> int:
 
 def is_quantifier_free(f: Formula) -> bool:
     return quantifier_depth(f) == 0
+
+
+# ---------------------------------------------------------------------------
+# Slot words: compile step and the trace-word kernel
+
+
+def _slot(name: str, bound: dict[str, int], m: int | None) -> int:
+    """Slot of a letter name: its binder's slot, or j-1 for a free x_j (j <= m if m is given)."""
+    if name in bound:
+        return bound[name]
+    mm = _VAR_RE.match(name)
+    if mm is None:
+        raise EvalError(f"unbound variable {name!r}")
+    if m is not None and int(mm.group(1)) > m:
+        raise EvalError(f"free variable {name!r} exceeds tuple length m={m}")
+    return int(mm.group(1)) - 1
+
+
+def compile_poly(poly: NcPolynomial, bound: dict[str, int] | None = None,
+                 m: int | None = None) -> list[Term]:
+    """The terms of ``poly`` as [(coef, ((slot, star), ...))], in term order.
+
+    Names resolve lexically: ``bound`` maps the quantifier variables in scope
+    to their slots, any other name must be a free ``x_j`` (slot j-1).
+    """
+    bound = bound or {}
+    return [(coef, tuple((_slot(name, bound, m), star) for name, star in w))
+            for w, coef in poly.terms.items()]
+
+
+def _times(b, a):
+    """b @ a, where None stands for the identity."""
+    if b is None:
+        return a
+    if a is None:
+        return b
+    return b @ a
+
+
+def _or_eye(mat, n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.complex128) if mat is None else mat
+
+
+def trace_pass(terms, entries, with_gradient: bool = False):
+    """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None), one pass per term.
+
+    ``entries[j]`` is the matrix in slot j: an (m, n, n) array, or any list
+    when no gradient is wanted.  prefixes[p] is the product of the first p
+    letters, suffixes[p] that of the letters from p on; None stands for the
+    identity, which is never multiplied.  An occurrence of x_j with prefix A
+    and suffix B adds (coef B A)^* to slot j of the gradient, one of x_j^*
+    adds coef B A.
+    """
+    n = entries[0].shape[0]
+    total = 0.0
+    grad = np.zeros_like(entries) if with_gradient else None
+    for coef, word in terms:
+        mats = [entries[j].conj().T if star else entries[j] for j, star in word]
+        prefixes = [None]
+        for a in mats:
+            prefixes.append(_times(prefixes[-1], a))
+        total += coef * np.trace(_or_eye(prefixes[-1], n)) / n
+        if grad is None:
+            continue
+        k = len(word)
+        suffixes = [None] * (k + 1)
+        for i in range(k - 1, 0, -1):
+            suffixes[i] = _times(mats[i], suffixes[i + 1])
+        for p, (j, star) in enumerate(word):
+            ba = _or_eye(_times(suffixes[p + 1], prefixes[p]), n)
+            if star:
+                grad[j] += coef * ba
+            else:
+                grad[j] += np.conj(coef) * ba.conj().T
+    return total, grad
 
 
 # ---------------------------------------------------------------------------
@@ -509,45 +571,67 @@ def evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None = None) -> flo
 
     Quantifier-free formulas are exact matrix arithmetic; each sup/inf is a
     projected multistart gradient search over the operator-norm ball, so the
-    result is one-sided up to optimizer error.  Deterministic given opts.seed.
+    result is one-sided up to optimizer error when the quantifier's body is
+    quantifier-free.  Deterministic given opts.seed.
     """
     opts = opts or EvalOptions()
-    for name in free_variables(f):
-        mm = _VAR_RE.match(name)
-        if not mm or int(mm.group(1)) > x.m:
-            raise EvalError(f"free variable {name!r} exceeds tuple length m={x.m}")
+    compiled, slots = _compile(f, x.m)
     if quantifier_depth(f) > opts.max_depth:
         raise EvalError(
             f"quantifier depth {quantifier_depth(f)} exceeds cap {opts.max_depth}"
         )
-    env = {f"x{j + 1}": x.entries[j] for j in range(x.m)}
-    val = _eval_node(f, env, x.n, opts, _node_ids(f))
+    env = list(x.entries) + [None] * (slots - x.m)
+    val = _eval_node(compiled, env, opts)
     if not math.isfinite(val):
         raise EvalError(f"non-finite formula value {val}")
     return val
 
 
-def _node_ids(f: Formula) -> dict[int, int]:
-    """Stable per-Quant ids so nested optimizations reuse a fixed RNG stream."""
-    ids: dict[int, int] = {}
+@dataclass(frozen=True)
+class _SlotAtom(Formula):
+    terms: tuple[Term, ...]
+    take_real: bool
 
-    def walk(node: Formula):
+
+@dataclass(frozen=True)
+class _SlotQuant(Formula):
+    sign: float  # +1 for sup, -1 for inf
+    radius: float
+    slot: int
+    qid: int  # pre-order quantifier number: a fixed RNG stream per quantifier
+    body: Formula
+
+
+def _compile(f: Formula, m: int) -> tuple[Formula, int]:
+    """f with atoms compiled to slot words and quantifiers numbered, and the slot count.
+
+    Each quantifier's variable gets its own slot after the m free ones; names
+    resolve lexically, so an inner binder of a name shadows the outer one.
+    """
+    qids = 0
+
+    def walk(node: Formula, bound: dict[str, int]) -> Formula:
+        nonlocal qids
+        if isinstance(node, Atom):
+            return _SlotAtom(tuple(compile_poly(node.poly, bound, m)), node.take_real)
+        if isinstance(node, (Arith, Call)):
+            return replace(node, args=tuple(walk(a, bound) for a in node.args))
         if isinstance(node, Quant):
-            ids[id(node)] = len(ids)
-            walk(node.body)
-        elif isinstance(node, (Arith, Call)):
-            for a in node.args:
-                walk(a)
+            qid, qids = qids, qids + 1
+            body = walk(node.body, {**bound, node.var: m + qid})
+            return _SlotQuant(1.0 if node.kind == "sup" else -1.0, node.radius, m + qid,
+                              qid, body)
+        return node
 
-    walk(f)
-    return ids
+    compiled = walk(f, {})
+    return compiled, m + qids
 
 
-def _eval_node(f, env, n, opts, qids) -> float:
+def _eval_node(f, env, opts) -> float:
     if isinstance(f, Const):
         return f.value
-    if isinstance(f, Atom):
-        val = np.trace(f.poly.evaluate(env, n)) / n
+    if isinstance(f, _SlotAtom):
+        val = trace_pass(f.terms, env)[0]
         if f.take_real:
             return float(val.real)
         scale = max(1.0, abs(val))
@@ -556,14 +640,14 @@ def _eval_node(f, env, n, opts, qids) -> float:
         return float(val.real)
     if isinstance(f, Arith):
         if f.op == "neg":
-            return -_eval_node(f.args[0], env, n, opts, qids)
-        a = _eval_node(f.args[0], env, n, opts, qids)
+            return -_eval_node(f.args[0], env, opts)
+        a = _eval_node(f.args[0], env, opts)
         if f.op == "pow":
             expo = f.args[1].value
             if a < 0 and expo != int(expo):
                 raise EvalError(f"fractional power of negative value {a}")
             return float(a**expo)
-        b = _eval_node(f.args[1], env, n, opts, qids)
+        b = _eval_node(f.args[1], env, opts)
         if f.op == "+":
             return a + b
         if f.op == "-":
@@ -576,7 +660,7 @@ def _eval_node(f, env, n, opts, qids) -> float:
             return a / b
         raise EvalError(f"unknown operator {f.op}")
     if isinstance(f, Call):
-        vals = [_eval_node(a, env, n, opts, qids) for a in f.args]
+        vals = [_eval_node(a, env, opts) for a in f.args]
         if f.func == "max":
             return max(vals)
         if f.func == "min":
@@ -594,8 +678,8 @@ def _eval_node(f, env, n, opts, qids) -> float:
                 raise EvalError(f"log of non-positive value {vals[0]}")
             return math.log(vals[0])
         raise EvalError(f"unknown connective {f.func}")
-    if isinstance(f, Quant):
-        return _eval_quant(f, env, n, opts, qids)
+    if isinstance(f, _SlotQuant):
+        return _eval_quant(f, env, opts)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -607,15 +691,15 @@ def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
     return (u * np.minimum(s, radius)) @ vh
 
 
-def _eval_quant(f: Quant, env, n, opts, qids) -> float:
-    sign = 1.0 if f.kind == "sup" else -1.0
+def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions) -> float:
+    sign = f.sign
     radius = f.radius
-    rng = opts.seed.derive(qids.get(id(f), 0)).rng()
+    n = env[0].shape[0]
+    rng = opts.seed.derive(f.qid).rng()
 
     def objective(y: np.ndarray) -> float:
-        env2 = dict(env)
-        env2[f.var] = y
-        return sign * _eval_node(f.body, env2, n, opts, qids)
+        env[f.slot] = y
+        return sign * _eval_node(f.body, env, opts)
 
     starts = [np.zeros((n, n), dtype=np.complex128), radius * np.eye(n, dtype=np.complex128)]
     while len(starts) < opts.starts:

@@ -249,23 +249,21 @@ class Quantile1D:
         """Exact quantile-coupling W2; counts may differ (piecewise-constant CDFs)."""
         if self.count == other.count:
             return float(np.sqrt(np.mean((self.support - other.support) ** 2)))
-        cuts = np.union1d(np.arange(1, self.count) / self.count,
-                          np.arange(1, other.count) / other.count)
-        edges = np.concatenate(([0.0], cuts, [1.0]))
-        mids = (edges[:-1] + edges[1:]) / 2
-        widths = np.diff(edges)
-        qa = self.quantile(mids)
-        qb = other.quantile(mids)
+        widths, qa, qb = self._cells(other)
         return float(np.sqrt(np.sum(widths * (qa - qb) ** 2)))
 
     def inner_product(self, other: "Quantile1D") -> float:
         """Monotone-coupling inner product: integral of Q_a(u) Q_b(u) du."""
+        widths, qa, qb = self._cells(other)
+        return float(np.sum(widths * qa * qb))
+
+    def _cells(self, other: "Quantile1D"):
+        """Widths of the level cells between both CDFs' jumps, and both quantiles on them."""
         cuts = np.union1d(np.arange(1, self.count) / self.count,
                           np.arange(1, other.count) / other.count)
         edges = np.concatenate(([0.0], cuts, [1.0]))
         mids = (edges[:-1] + edges[1:]) / 2
-        widths = np.diff(edges)
-        return float(np.sum(widths * self.quantile(mids) * other.quantile(mids)))
+        return np.diff(edges), self.quantile(mids), other.quantile(mids)
 
 
 class _MonotoneMap:

@@ -35,20 +35,6 @@ def test_quadratic_gradient_is_cx():
     assert np.max(np.abs(g.entries - 2.5 * x.entries)) < 1e-12
 
 
-@pytest.mark.parametrize("builder", [
-    lambda: gibbs.Potential.quadratic(1.0, 1),
-    lambda: gibbs.Potential.quadratic(1.0, 1).with_tilt([0.4 - 0.7j]),
-    lambda: gibbs.Potential.quadratic(1.0, 1).with_quartic(0.3),
-    lambda: gibbs.Potential.quadratic(2.0, 2).with_tilt([0.5, -0.25]).with_quartic(0.1),
-])
-def test_gradient_matches_finite_differences(builder):
-    rng = np.random.default_rng(3)
-    pot = builder()
-    m = pot._m()
-    x = random_tuple(4, m, rng)
-    assert pot.gradient_check(x) < 1e-5
-
-
 def test_tilt_gradient_at_zero_is_tilt():
     a = [0.3 + 0.2j]
     pot = gibbs.Potential.quadratic(1.0, 1).with_tilt(a)
@@ -72,6 +58,26 @@ def fd_gradient(f, entries, h=1e-6):
     return grad
 
 
+def assert_gradient_matches_fd(pot, x):
+    grad = pot.value_and_gradient(x)[1]
+    fd = fd_gradient(lambda e: pot.value(mc.MatrixTuple(e)), x)
+    assert np.max(np.abs(grad - fd), initial=0.0) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: gibbs.Potential.quadratic(1.0, 1),
+    lambda: gibbs.Potential.quadratic(1.0, 1).with_tilt([0.4 - 0.7j]),
+    lambda: gibbs.Potential.quadratic(1.0, 1).with_quartic(0.3),
+    lambda: gibbs.Potential.quadratic(2.0, 2).with_tilt([0.5, -0.25]).with_quartic(0.1),
+    lambda: gibbs.Potential.from_formula("re tr(0.5*x1'*x1 + 0.25*x1)", c=1.0),
+])
+def test_gradient_matches_finite_differences(builder):
+    rng = np.random.default_rng(3)
+    pot = builder()
+    x = random_tuple(4, pot._m(), rng)
+    assert_gradient_matches_fd(pot, x.entries)
+
+
 potential_terms = st.lists(
     st.tuples(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
               st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=4).map(tuple)),
@@ -89,8 +95,7 @@ def test_value_and_gradient_match_central_differences(terms, n, seed):
     tup = mc.MatrixTuple(x)
     assert pot.value(tup) == value
     assert pot.gradient(tup).entries.tobytes() == grad.tobytes()
-    fd = fd_gradient(lambda e: pot.value(mc.MatrixTuple(e)), x)
-    assert np.max(np.abs(grad - fd), initial=0.0) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
+    assert_gradient_matches_fd(pot, x)
 
 
 def test_from_formula_roundtrip():
@@ -99,7 +104,6 @@ def test_from_formula_roundtrip():
     x = random_tuple(3, 1, rng)
     direct = 0.5 * mc.tracial_norm(x) ** 2 + 0.25 * (np.trace(x.entries[0]) / 3).real
     assert pot.value(x) == pytest.approx(direct, abs=1e-10)
-    assert pot.gradient_check(x) < 1e-5
 
 
 def test_from_formula_rejects_quantifiers():
@@ -112,6 +116,15 @@ def test_formula_text_parses_and_matches():
     ast = logic.parse(pot.formula_text())
     rng = np.random.default_rng(5)
     x = random_tuple(4, 1, rng)
+    assert logic.evaluate(ast, x) == pytest.approx(pot.value(x), abs=1e-10)
+
+
+def test_formula_text_adds_duplicate_words():
+    # a thermodynamic-integration mixture repeats the quadratic words of both ends
+    pot = entropy._mix_potential(gibbs.Potential.quadratic(1.0, 2),
+                                 gibbs.Potential.quadratic(1.0, 2).with_quartic(0.2), 0.3)
+    ast = logic.parse(pot.formula_text())
+    x = random_tuple(3, 2, np.random.default_rng(6))
     assert logic.evaluate(ast, x) == pytest.approx(pot.value(x), abs=1e-10)
 
 
@@ -343,6 +356,25 @@ def test_herbst_estimated_lipschitz(gaussian_ensemble):
     rep = gibbs.herbst_check(gaussian_ensemble, "re tr(x1)", c=1.0)
     assert 0.0 < rep.lipschitz <= 1.5
     assert rep.ok
+
+
+def test_herbst_lipschitz_estimate_uses_eval_opts(monkeypatch):
+    # sup{y:1} re tr(y x) is the normalized nuclear norm: its gradient is the
+    # polar factor, so L = 1
+    rng = np.random.default_rng(12)
+    ens = gibbs.Ensemble(rng.normal(size=(4, 1, 2, 2)) + 1j * rng.normal(size=(4, 1, 2, 2)))
+    opts = logic.EvalOptions(starts=2, iters=40)
+    seen = []
+    evaluate = logic.evaluate
+
+    def spy(f, x, o=None):
+        seen.append(o)
+        return evaluate(f, x, o)
+
+    monkeypatch.setattr(logic, "evaluate", spy)
+    rep = gibbs.herbst_check(ens, "sup{y:1.0} re tr(y*x1)", c=1.0, eval_opts=opts)
+    assert len(seen) > ens.count and all(o is opts for o in seen)
+    assert rep.lipschitz == pytest.approx(1.0, abs=1e-3)
 
 
 def test_ensemble_provenance_fields(gaussian_ensemble):

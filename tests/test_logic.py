@@ -227,6 +227,43 @@ def test_nested_quantifier_saddle():
     assert v == pytest.approx(0.0, abs=1e-6)
 
 
+def test_reused_bound_name_matches_distinct_names():
+    # y is reused by a sibling quantifier and shadowed by a nested one
+    reused = parse("sup{y:1.0} (re tr(y*x1) - inf{y:0.5} re tr(y*y'*x1*x1'))"
+                   " + inf{y:1.0} re tr(y*x1')")
+    distinct = parse("sup{a:1.0} (re tr(a*x1) - inf{b:0.5} re tr(b*b'*x1*x1'))"
+                     " + inf{c:1.0} re tr(c*x1')")
+    x = random_tuple(2, 1, np.random.default_rng(8))
+    opts = EvalOptions(starts=2, iters=3, seed=mc.Seed(6))
+    assert logic.evaluate(reused, x, opts) == logic.evaluate(distinct, x, opts)
+
+
+# ---------------------------------------------------------------------------
+# Slot-word kernel
+
+NAMES = ["x1", "x2", "y", "z"]
+polynomials = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(NAMES), st.booleans()), max_size=4).map(tuple),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    max_size=5).map(NcPolynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=polynomials, n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_trace_pass_matches_polynomial_evaluation(poly, n, seed):
+    # free x1, x2 and the bound names y, z in the two slots after them; the
+    # empty word is a constant and the empty polynomial is zero
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    env = dict(zip(NAMES, mats))
+    value = logic.trace_pass(logic.compile_poly(poly, {"y": 2, "z": 3}, m=2), mats)[0]
+    ref = np.trace(poly.evaluate(env, n)) / n
+    # |tr_n(w)| <= product of the letters' Frobenius norms
+    scale = 1.0 + sum(abs(c) * np.prod([np.linalg.norm(env[name]) for name, _ in w])
+                      for w, c in poly.terms.items())
+    assert abs(value - ref) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # Quantifier-free types
 
