@@ -13,7 +13,6 @@ balance.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import struct
@@ -43,6 +42,7 @@ Word = logic.Word
 
 FIGE_MAGIC = b"FIGE"
 FIGE_VERSION = 1
+_FIGE_HEADER = struct.Struct("<HIIQ")  # version, n, m, count (after the magic)
 
 
 class SamplerError(RuntimeError):
@@ -207,26 +207,41 @@ def save_ensemble(e: Ensemble, path) -> None:
     meta = {"provenance": e.provenance, "diagnostics": e.diagnostics}
     with open(path, "wb") as fh:
         fh.write(FIGE_MAGIC)
-        fh.write(struct.pack("<HIIQ", FIGE_VERSION, e.n, e.m, e.count))
+        fh.write(_FIGE_HEADER.pack(FIGE_VERSION, e.n, e.m, e.count))
         fh.write(np.ascontiguousarray(e.samples.astype("<c16")).tobytes())
         fh.write(json.dumps(meta).encode("utf-8"))
 
 
 def load_ensemble(path) -> Ensemble:
+    """Read a FIGE file; a corrupt or inconsistent file raises ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != FIGE_MAGIC:
-        raise ValueError("not a FIGE ensemble file")
-    version, n, m, count = struct.unpack("<HIIQ", buf.read(18))
+    start = len(FIGE_MAGIC) + _FIGE_HEADER.size
+    if data[: len(FIGE_MAGIC)] != FIGE_MAGIC:
+        raise ValueError(f"{path}: not a FIGE ensemble file")
+    if len(data) < start:
+        raise ValueError(f"{path}: FIGE header cut off after {len(data)} bytes")
+    version, n, m, count = _FIGE_HEADER.unpack_from(data, len(FIGE_MAGIC))
     if version != FIGE_VERSION:
-        raise ValueError(f"unsupported FIGE version {version}")
-    nbytes = count * m * n * n * 16
-    arr = np.frombuffer(buf.read(nbytes), dtype="<c16").reshape(count, m, n, n)
-    tail = buf.read()
-    meta = json.loads(tail.decode("utf-8")) if tail else {}
-    return Ensemble(arr.astype(np.complex128), meta.get("provenance", {}),
-                    meta.get("diagnostics", {}))
+        raise ValueError(f"{path}: unsupported FIGE version {version}")
+    size = count * m * n * n
+    if 16 * size > len(data) - start:
+        raise ValueError(f"{path}: header declares {16 * size} sample bytes "
+                         f"(count {count}, m {m}, n {n}) but {len(data) - start} "
+                         f"bytes follow the header")
+    arr = np.frombuffer(data, dtype="<c16", count=size, offset=start)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: non-finite sample values")
+    # the metadata block runs to the end of the file, so a header that claims
+    # too many samples leaves an empty block or a fragment of one
+    try:
+        meta = json.loads(data[start + 16 * size :].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: corrupt FIGE metadata block: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: FIGE metadata is not a JSON object")
+    return Ensemble(arr.reshape(count, m, n, n),
+                    meta.get("provenance", {}), meta.get("diagnostics", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
     w2_steps = []
     for it in range(iters):
         phi, _ = tp.kantorovich_potentials_1d(nu, mu)  # subgradient pushes nu to mu
-        log_w = -np.array([phi(x) for x in grid]) - t_reg * grid**2 / 2.0
+        log_w = -phi.fn(grid) - t_reg * grid**2 / 2.0  # the whole grid at once
         log_w -= log_w.max()
         weights = np.exp(log_w)
         total = weights.sum() * dx

@@ -18,6 +18,7 @@ its argument at 700.
 
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
 from dataclasses import dataclass, field, replace
@@ -787,24 +788,39 @@ def _all_words(m: int, degree: int) -> list[Word]:
     return words
 
 
+@functools.lru_cache(maxsize=32)
+def _qf_plan(m: int, max_degree: int):
+    """The word products ``qf_type`` builds and how it pairs them, per (m, degree).
+
+    ``grow`` lists (prefix index, slot, star) for every word up to half the
+    degree, each extending an earlier product (index 0 is the empty word);
+    ``splits`` lists (word, left index, right index) with the word's moment
+    the tr_n contraction of its two halves.
+    """
+    index: dict[Word, int] = {(): 0}
+    grow = []
+    for w in _all_words(m, (max_degree + 1) // 2):
+        if w:
+            name, star = w[-1]
+            grow.append((index[w[:-1]], int(name[1:]) - 1, star))
+            index[w] = len(index)
+    splits = tuple((w, index[w[: len(w) // 2]], index[w[len(w) // 2 :]])
+                   for w in _all_words(m, max_degree))
+    return tuple(grow), splits
+
+
 def qf_type(x: MatrixTuple, max_degree: int) -> QfType:
     """moment(w) = tr_n(w(X)) for every word of length <= max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    env = {f"x{j + 1}": x.entries[j] for j in range(x.m)}
-    half = (max_degree + 1) // 2
-    # cache products for words up to half the degree; pair with tr(AB) contraction
-    prod: dict[Word, np.ndarray] = {(): np.eye(x.n, dtype=np.complex128)}
-    for w in _all_words(x.m, half):
-        if w and w not in prod:
-            name, star = w[-1]
-            mat = env[name]
-            prod[w] = prod[w[:-1]] @ (mat.conj().T if star else mat)
-    moments: dict[Word, complex] = {}
-    for w in _all_words(x.m, max_degree):
-        k = len(w) // 2
-        a, b = prod[w[:k]], prod[w[k:]]
-        moments[w] = complex(np.einsum("ab,ba->", a, b) / x.n)
+    grow, splits = _qf_plan(x.m, max_degree)
+    # products for words up to half the degree; pair with tr(AB) contraction
+    prods = [np.eye(x.n, dtype=np.complex128)]
+    for parent, slot, star in grow:
+        mat = x.entries[slot]
+        prods.append(prods[parent] @ (mat.conj().T if star else mat))
+    moments = {w: complex(np.einsum("ab,ba->", prods[a], prods[b]) / x.n)
+               for w, a, b in splits}
     return QfType(x.m, max_degree, moments)
 
 

@@ -278,6 +278,10 @@ class _MonotoneMap:
         self.ys = ys[keep]
         if np.any(np.diff(self.ys) < -1e-12):
             raise ValueError("targets must be nondecreasing for a monotone map")
+        # the kept knots increase strictly, so every segment has a finite slope
+        self.slopes = np.diff(self.ys) / np.diff(self.xs)
+        self.seg_int = np.concatenate(
+            ([0.0], np.cumsum((self.ys[1:] + self.ys[:-1]) / 2 * np.diff(self.xs))))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -293,27 +297,26 @@ class _MonotoneMap:
         return out
 
     def integral(self, x):
-        """Integral of the map from xs[0] to x (piecewise quadratic, exact)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xs, ys = self.xs, self.ys
-        seg_int = np.concatenate(([0.0], np.cumsum((ys[1:] + ys[:-1]) / 2 * np.diff(xs))))
-        out = np.empty_like(x)
-        for i, xv in enumerate(x):
-            if xv <= xs[0]:
-                d = xs[0] - xv
-                out[i] = -(ys[0] * d - d * d / 2)
-            elif xv >= xs[-1]:
-                d = xv - xs[-1]
-                out[i] = seg_int[-1] + ys[-1] * d + d * d / 2
-            else:
-                k = int(np.searchsorted(xs, xv, side="right")) - 1
-                d = xv - xs[k]
-                if xs[k + 1] > xs[k]:
-                    slope = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-                else:
-                    slope = 0.0
-                out[i] = seg_int[k] + ys[k] * d + slope * d * d / 2
-        return out if out.size > 1 else float(out[0])
+        """Integral of the map from xs[0] to x (piecewise quadratic, exact).
+
+        Arrays are evaluated elementwise and keep their shape; a scalar gives
+        a float.
+        """
+        xa = np.asarray(x, dtype=float)
+        xs, ys, seg_int = self.xs, self.ys, self.seg_int
+        out = np.empty_like(xa)
+        below = xa <= xs[0]
+        above = (xa >= xs[-1]) & ~below
+        mid = ~(below | above)
+        d = xs[0] - xa[below]
+        out[below] = -(ys[0] * d - d * d / 2)
+        d = xa[above] - xs[-1]
+        out[above] = seg_int[-1] + ys[-1] * d + d * d / 2
+        xm = xa[mid]
+        k = np.searchsorted(xs, xm, side="right") - 1
+        d = xm - xs[k]
+        out[mid] = seg_int[k] + ys[k] * d + self.slopes[k] * d * d / 2
+        return float(out) if out.ndim == 0 else out
 
     def inverse_point(self, y: float) -> float:
         """A point x with map(x) = y (left end of a flat piece when not unique)."""
@@ -322,12 +325,8 @@ class _MonotoneMap:
             return xs[0] + (y - ys[0])
         if y >= ys[-1]:
             return xs[-1] + (y - ys[-1])
-        k = int(np.searchsorted(ys, y, side="left"))
-        k = max(k - 1, 0)
-        while k < len(ys) - 1 and ys[k + 1] < y:
-            k += 1
-        if ys[k + 1] == ys[k]:
-            return xs[k]
+        # ys[0] < y < ys[-1], so the knot k below y has ys[k] < y <= ys[k + 1]
+        k = int(np.searchsorted(ys, y, side="left")) - 1
         t = (y - ys[k]) / (ys[k + 1] - ys[k])
         return xs[k] + t * (xs[k + 1] - xs[k])
 
@@ -345,15 +344,12 @@ def kantorovich_potentials_1d(mu: Quantile1D, nu: Quantile1D):
     ys = nu.midpoint_quantiles(mu.count) if mu.count != nu.count else nu.support
     tmap = _MonotoneMap(xs, ys)
 
-    def phi_val(x):
-        return float(tmap.integral(x))
-
     def psi_val(y):
         # exact Legendre transform: the sup of xy - phi(x) sits at T(x) = y
         xstar = tmap.inverse_point(float(y))
         return float(xstar * y - tmap.integral(xstar))
 
-    phi = ScalarFn(phi_val, grad=lambda x: float(tmap(np.atleast_1d(x))[0]),
+    phi = ScalarFn(tmap.integral, grad=lambda x: float(tmap(np.atleast_1d(x))[0]),
                    strong_convexity=0.0, name="kantorovich_phi")
     psi = ScalarFn(psi_val, grad=lambda y: tmap.inverse_point(float(y)),
                    strong_convexity=0.0, name="kantorovich_psi")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -401,3 +402,62 @@ def test_fige_magic_guard(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         gibbs.load_ensemble(bad)
+
+
+@pytest.fixture(scope="module")
+def small_fige(tmp_path_factory):
+    rng = np.random.default_rng(77)
+    samples = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+    ens = gibbs.Ensemble(samples, {"potential": "q", "seed": [1, 2]},
+                         {"acceptance_rate": 0.5})
+    path = tmp_path_factory.mktemp("fige") / "small.fige"
+    gibbs.save_ensemble(ens, path)
+    return ens, path.read_bytes()
+
+
+def test_fige_corrupt_files_fail_clearly(tmp_path, small_fige):
+    ens, data = small_fige
+    path = tmp_path / "corrupt.fige"
+    sample_bytes = ens.samples.nbytes
+    cases = {
+        "truncated": (data[:100], rf"declares {sample_bytes} sample bytes .* 78 bytes"),
+        "inflated count": (data[:14] + (4).to_bytes(8, "little") + data[22:],
+                           rf"declares {sample_bytes * 4 // 3} sample bytes"),
+        "cut-off metadata": (data[:-5], "corrupt FIGE metadata"),
+        "no metadata": (data[: 22 + sample_bytes], "corrupt FIGE metadata"),
+        "non-object metadata": (data[: 22 + sample_bytes] + b"[]", "not a JSON object"),
+        "short header": (data[:10], "header cut off after 10 bytes"),
+        "nan sample": (data[:22] + np.array([np.nan], "<c16").tobytes() + data[38:],
+                       "non-finite"),
+    }
+    for name, (blob, message) in cases.items():
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=message) as info:
+            gibbs.load_ensemble(path)
+        assert str(path) in str(info.value), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(["truncate", "extend", "header"]), data=st.data())
+def test_fige_fuzz_fails_clearly_or_loads_exactly(tmp_path_factory, small_fige, op, data):
+    ens, blob = small_fige
+    if op == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif op == "extend":
+        blob = blob + data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        small = st.integers(0, 12)
+        fields = (data.draw(st.one_of(st.just(1), st.integers(0, 2**16 - 1))),
+                  data.draw(st.one_of(small, st.integers(0, 2**32 - 1))),
+                  data.draw(st.one_of(small, st.integers(0, 2**32 - 1))),
+                  data.draw(st.one_of(small, st.integers(0, 2**64 - 1))))
+        blob = blob[:4] + struct.pack("<HIIQ", *fields) + blob[22:]
+    path = tmp_path_factory.mktemp("fuzz") / "f.fige"
+    path.write_bytes(blob)
+    try:
+        back = gibbs.load_ensemble(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert back.samples.tobytes() == ens.samples.tobytes()
+    assert (back.provenance, back.diagnostics) == (ens.provenance, ens.diagnostics)

@@ -1,6 +1,7 @@
 """Run configurations, reports, experiment harness, and the CLI."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -138,6 +139,25 @@ def test_moment_residual_trend():
     rep = ex.run_moment_fixed_point(cfg)
     steps = [r["w2_step"] for r in rep.series["iterates"]]
     assert steps[-1] <= max(steps[0], 1e-6)
+
+
+# sha256 of repr((iterates, {metric: value})) at the default moment config:
+# the reports must reproduce bit for bit
+MOMENT_GOLDEN = {
+    ("delta0", 0.5): "7373dab07f6c7b0b15c698ab8ad4d4ce9e95848a21c1deb959b07070fca17046",
+    ("delta0", 1.0): "e390fc7a0f34ed4cf104dcc14fe80d0f2f03deac024f9bb328dd47d6734d6c99",
+    ("delta0", 2.0): "f512191a9443342bb2a1e3345ac59ca2f6e647d48fb3555826501029ecf22c86",
+    ("gaussian", 1.0): "e641a83749ae47354ac1a696c877ff7bf0d73e3a1d10af33b3a2e375a1adfc95",
+    ("-1.5,0,0,0.25,2", 1.0): "7768d8aef51d868b937f242db2c6d73dc24e5dbd6591ebc706fca641e3d3ace6",
+}
+
+
+@pytest.mark.parametrize("mu,t", sorted(MOMENT_GOLDEN))
+def test_moment_golden_digest(mu, t):
+    rep = ex.run_moment_fixed_point(RunConfig.from_dict("moment", {"mu": mu, "t": t}))
+    metrics = {k: m.value for k, m in sorted(rep.metrics.items())}
+    blob = repr((rep.series["iterates"], metrics)).encode()
+    assert hashlib.sha256(blob).hexdigest() == MOMENT_GOLDEN[(mu, t)]
 
 
 def test_moment_matrix_scale_flag():

@@ -302,6 +302,22 @@ def test_qf_type_matches_direct_trace():
     )
 
 
+@pytest.mark.parametrize("m,degree", [(2, 0), (2, 1), (2, 4), (3, 3)])
+def test_qf_type_every_word_matches_direct_product(m, degree):
+    rng = np.random.default_rng(14)
+    x = random_tuple(3, m, rng)
+    t = logic.qf_type(x, degree)
+    assert list(t.moments) == logic._all_words(m, degree)
+    for w, mom in t.moments.items():
+        prod = np.eye(3, dtype=complex)
+        for name, star in w:
+            a = x.entries[int(name[1:]) - 1]
+            prod = prod @ (a.conj().T if star else a)
+        assert mom == pytest.approx(complex(np.trace(prod)) / 3, abs=1e-12)
+    again = logic.qf_type(x, degree)  # second call reuses the cached word plan
+    assert repr(again.moments) == repr(t.moments)
+
+
 def test_qf_type_gue_semicircle_moments():
     g = mc.sample_gue(200, mc.Seed(909, 0))
     t = logic.qf_type(mc.MatrixTuple(g[None]), 3)

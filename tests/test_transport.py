@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegeo import gibbs, matcore as mc, transport as tp
 
@@ -260,6 +262,76 @@ def test_kantorovich_degenerate_target():
     mu = tp.Quantile1D(np.linspace(-1, 1, 8))
     phi, _ = tp.kantorovich_potentials_1d(mu, nu)
     assert phi(0.5) - phi(-0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def _integral_oracle(xs, ys, x):
+    """Trapezoid rule over the knots left of x, with the slope-one tails."""
+    if x < xs[0]:
+        return -np.trapezoid([ys[0] - (xs[0] - x), ys[0]], [x, xs[0]])
+    inside = xs[xs < x]
+    end = ys[-1] + (x - xs[-1]) if x > xs[-1] else np.interp(x, xs, ys)
+    return np.trapezoid(np.append(ys[: inside.size], end), np.append(inside, x))
+
+
+@st.composite
+def monotone_maps(draw):
+    coord = st.floats(-5, 5, allow_nan=False)
+    k = draw(st.integers(1, 12))
+    xs = draw(st.lists(coord, min_size=k, max_size=k))
+    # knots closer than 1e-14 to their left neighbour, which the map drops
+    xs += [xs[i] + 5e-15 for i in draw(st.lists(st.integers(0, k - 1), max_size=3))]
+    xs = np.sort(xs)
+    ys = np.sort(draw(st.lists(coord, min_size=xs.size, max_size=xs.size)))
+    tmap = tp._MonotoneMap(xs, ys)
+    pts = draw(st.lists(st.floats(-9, 9, allow_nan=False), max_size=20))
+    return tmap, np.concatenate((pts, xs, tmap.xs[:1] - 1.0, tmap.xs[-1:] + 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monotone_maps())
+def test_monotone_integral_array_matches_scalar_and_oracle(case):
+    tmap, pts = case
+    assert np.all(np.diff(tmap.xs) > 1e-14)
+    vec = tmap.integral(pts)
+    assert vec.shape == pts.shape
+    scalar = np.array([tmap.integral(p) for p in pts])
+    assert vec.tobytes() == scalar.tobytes()  # bit for bit, signed zeros included
+    oracle = np.array([_integral_oracle(tmap.xs, tmap.ys, p) for p in pts])
+    np.testing.assert_allclose(vec, oracle, rtol=0, atol=1e-12)
+
+
+def test_monotone_integral_keeps_shape():
+    tmap = tp._MonotoneMap(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    assert isinstance(tmap.integral(0.5), float)
+    assert isinstance(tmap.integral(np.float64(0.5)), float)
+    one = tmap.integral(np.array([0.5]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == 0.25
+    grid = np.array([[-1.0, 0.5], [1.0, 2.0]])
+    assert tmap.integral(grid).shape == (2, 2)
+    assert tmap.integral(np.array([])).shape == (0,)
+
+
+def test_monotone_inverse_point_flat_pieces():
+    # flat piece on [1, 3] at height 1: a knot value returns its left end
+    tmap = tp._MonotoneMap(np.array([0.0, 1, 2, 3, 4]), np.array([0.0, 1, 1, 1, 2]))
+    got = [tmap.inverse_point(y) for y in (-1.0, 0.0, 0.5, 1.0, 1.25, 2.0, 3.0)]
+    assert got == [-1.0, 0.0, 0.5, 1.0, 3.25, 4.0, 5.0]
+    tmap = tp._MonotoneMap(np.array([-2.0, -1, 0, 0.5, 1, 3]),
+                           np.array([-1.0, -1, 0, 0, 0, 4]))
+    got = [tmap.inverse_point(y) for y in (-1.5, -1.0, -0.5, 0.0, 1.0, 4.0)]
+    assert got == [-2.5, -2.0, -0.5, 0.0, 1.5, 3.0]
+    tmap = tp._MonotoneMap(np.array([0.0, 0.1, 0.2, 0.3]), np.array([0.1, 0.2, 0.2, 0.3]))
+    got = [tmap.inverse_point(y) for y in (0.1, 0.15, 0.2, 0.25, 0.3)]
+    assert got == [0.0, 0.04999999999999999, 0.1, 0.25, 0.3]
+
+
+def test_kantorovich_phi_on_grid_matches_pointwise():
+    rng = np.random.default_rng(5)
+    mu = tp.Quantile1D(np.round(rng.normal(size=40), 1))
+    nu = tp.Quantile1D(np.round(rng.normal(size=13)))
+    phi, _ = tp.kantorovich_potentials_1d(mu, nu)
+    grid = np.linspace(-5, 5, 301)
+    assert phi.fn(grid).tobytes() == np.array([phi(x) for x in grid]).tobytes()
 
 
 def test_plan_serialization_fields():
