@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import logic
-from .convex import _numeric_gradient, check_strong_convexity
+from .convex import check_strong_convexity
 from .matcore import MatrixTuple, Seed, tracial_norm
 
 __all__ = [
@@ -108,11 +108,11 @@ class Potential:
         return logic.trace_pass(self.terms, x.entries)[0].real
 
     def gradient(self, x: MatrixTuple) -> MatrixTuple:
-        return MatrixTuple(logic.trace_pass(self.terms, x.entries, with_gradient=True)[1])
+        return MatrixTuple(logic.trace_pass(self.terms, x.entries, range(x.m))[1])
 
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         """phi and its tr_n gradient at the (m, n, n) array ``entries``, in one pass."""
-        total, grad = logic.trace_pass(self.terms, entries, with_gradient=True)
+        total, grad = logic.trace_pass(self.terms, entries, range(len(entries)))
         return total.real, grad
 
     def formula_text(self) -> str:
@@ -546,9 +546,8 @@ def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
 
     If no Lipschitz constant is supplied it is estimated as the largest
     sampled gradient norm (difference quotients between random samples
-    underestimate L badly in high dimension, so quotients are taken along
-    gradient directions: exact for trace polynomials via the cyclic
-    derivative, central differences otherwise).
+    underestimate L badly in high dimension), from the formula's analytic
+    gradient: cyclic derivative plus envelope rule.
     """
     ast = logic.parse(f) if isinstance(f, str) else f
     opts = eval_opts or logic.EvalOptions()
@@ -575,14 +574,5 @@ def _formula_lipschitz(ast: logic.Formula, e: Ensemble, opts: logic.EvalOptions,
                        max_samples: int = 12) -> float:
     """Largest gradient norm of the formula over a few ensemble members."""
     idx = range(0, e.count, max(1, e.count // max_samples))
-    try:
-        pot = Potential.from_formula(ast, c=1.0)
-        return max(tracial_norm(pot.gradient(e[i])) for i in idx)
-    except ValueError:
-        pass
-
-    def value(t: MatrixTuple) -> float:
-        return logic.evaluate(ast, t, opts)
-
-    return max((tracial_norm(_numeric_gradient(value, e[i], h=1e-5)) for i in list(idx)[:4]),
+    return max((tracial_norm(logic.value_and_gradient(ast, e[i], opts)[1]) for i in idx),
                default=0.0)

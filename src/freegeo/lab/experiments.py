@@ -474,7 +474,7 @@ class _EnvelopePotential:
         fx = real_inner(x, y) - eta / self.eps
         step = 0.25 * self.eps
         for _ in range(iters):
-            eta_grad = logic.trace_pass(eta_terms, x.entries, with_gradient=True)[1]
+            eta_grad = logic.trace_pass(eta_terms, x.entries, range(x.m))[1]
             g = y + (-1.0 / self.eps) * MatrixTuple(eta_grad)
             gnorm = tracial_norm(g)
             if gnorm < tol:

@@ -9,11 +9,15 @@ Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
 ``trace_pass``, evaluates every trace polynomial from such words.
 
 Quantified values are computed by projected multistart gradient search over
-the ball.  When the quantifier's body is quantifier-free, a returned sup is a
-certified lower bound (and an inf an upper bound) up to the optimizer
-tolerance; once quantifiers nest, the inner values are themselves
-approximate and the outer value has no certified direction.  ``exp`` clamps
-its argument at 700.
+the ball, with the analytic gradient (cyclic derivative plus envelope rule):
+one pass over the compiled formula gives a node's value and its gradient,
+atoms through ``trace_pass``, connectives by the chain rule (fixed one-sided
+choices at kinks), and a nested sup/inf through the gradient of its body at
+its best point (Danskin's envelope rule).  When the quantifier's body is
+quantifier-free, a returned sup is a certified lower bound (and an inf an
+upper bound) up to the optimizer tolerance; once quantifiers nest, the inner
+values are themselves approximate and the outer value has no certified
+direction.  ``exp`` clamps its argument at 700.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "parse",
     "print_formula",
     "evaluate",
+    "value_and_gradient",
     "qf_type",
     "qf_distance",
     "ParseError",
@@ -195,7 +200,6 @@ class EvalOptions:
     tol: float = 1e-9
     seed: Seed = field(default_factory=Seed)
     max_depth: int = 2
-    fd_step: float = 1e-5  # central-difference step, scaled by radius
 
     def __post_init__(self):
         if self.starts < 1 or self.iters < 1 or self.tol <= 0:
@@ -259,19 +263,25 @@ def _or_eye(mat, n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128) if mat is None else mat
 
 
-def trace_pass(terms, entries, with_gradient: bool = False):
+def trace_pass(terms, entries, grad_slots=None):
     """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None), one pass per term.
 
-    ``entries[j]`` is the matrix in slot j: an (m, n, n) array, or any list
-    when no gradient is wanted.  prefixes[p] is the product of the first p
-    letters, suffixes[p] that of the letters from p on; None stands for the
-    identity, which is never multiplied.  An occurrence of x_j with prefix A
-    and suffix B adds (coef B A)^* to slot j of the gradient, one of x_j^*
-    adds coef B A.
+    ``entries[j]`` is the matrix in slot j, an (m, n, n) array or a list;
+    only the slots that occur in the words are read.  The gradient is taken
+    with respect to the slots in ``grad_slots``, stacked in that order as a
+    (len(grad_slots), n, n) array; letters in other slots, and words with
+    none of these slots, add nothing to it.  prefixes[p] is the product of
+    the first p letters, suffixes[p] that of the letters from p on; None
+    stands for the identity, which is never multiplied.  An occurrence of
+    x_j with prefix A and suffix B adds (coef B A)^* to slot j of the
+    gradient, one of x_j^* adds coef B A.
     """
     n = entries[0].shape[0]
     total = 0.0
-    grad = np.zeros_like(entries) if with_gradient else None
+    grad = None
+    if grad_slots is not None:
+        pos = {j: i for i, j in enumerate(grad_slots)}
+        grad = np.zeros((len(pos), n, n), dtype=np.complex128)
     for coef, word in terms:
         mats = [entries[j].conj().T if star else entries[j] for j, star in word]
         prefixes = [None]
@@ -285,11 +295,13 @@ def trace_pass(terms, entries, with_gradient: bool = False):
         for i in range(k - 1, 0, -1):
             suffixes[i] = _times(mats[i], suffixes[i + 1])
         for p, (j, star) in enumerate(word):
+            if j not in pos:
+                continue
             ba = _or_eye(_times(suffixes[p + 1], prefixes[p]), n)
             if star:
-                grad[j] += coef * ba
+                grad[pos[j]] += coef * ba
             else:
-                grad[j] += np.conj(coef) * ba.conj().T
+                grad[pos[j]] += np.conj(coef) * ba.conj().T
     return total, grad
 
 
@@ -571,21 +583,41 @@ def evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None = None) -> flo
     """Interpret the formula at the tuple X.
 
     Quantifier-free formulas are exact matrix arithmetic; each sup/inf is a
-    projected multistart gradient search over the operator-norm ball, so the
+    projected multistart gradient search over the operator-norm ball, driven
+    by the analytic gradient (cyclic derivative plus envelope rule), so the
     result is one-sided up to optimizer error when the quantifier's body is
     quantifier-free.  Deterministic given opts.seed.
     """
+    return _evaluate(f, x, opts, None)[0]
+
+
+def value_and_gradient(f: Formula, x: MatrixTuple,
+                       opts: EvalOptions | None = None) -> tuple[float, MatrixTuple]:
+    """The value of ``evaluate`` and its tr_n gradient with respect to x1 ... xm.
+
+    Analytic gradient (cyclic derivative plus envelope rule): atoms take the
+    cyclic derivative, connectives the chain rule (kinks get the fixed
+    one-sided choices listed at ``_connective``), and a sup/inf the gradient
+    of its body at the best point its search found.
+    """
+    val, grad = _evaluate(f, x, opts, range(x.m))
+    if not np.all(np.isfinite(grad)):
+        raise EvalError("non-finite formula gradient")
+    return val, MatrixTuple(grad)
+
+
+def _evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None, slots):
     opts = opts or EvalOptions()
-    compiled, slots = _compile(f, x.m)
+    compiled, nslots = _compile(f, x.m)
     if quantifier_depth(f) > opts.max_depth:
         raise EvalError(
             f"quantifier depth {quantifier_depth(f)} exceeds cap {opts.max_depth}"
         )
-    env = list(x.entries) + [None] * (slots - x.m)
-    val = _eval_node(compiled, env, opts)
+    env = list(x.entries) + [None] * (nslots - x.m)
+    val, grad = _eval_node(compiled, env, opts, slots)
     if not math.isfinite(val):
         raise EvalError(f"non-finite formula value {val}")
-    return val
+    return val, grad
 
 
 @dataclass(frozen=True)
@@ -628,60 +660,94 @@ def _compile(f: Formula, m: int) -> tuple[Formula, int]:
     return compiled, m + qids
 
 
-def _eval_node(f, env, opts) -> float:
+def _zero_gradient(env, slots):
+    return None if slots is None else np.zeros((len(slots),) + env[0].shape,
+                                               dtype=np.complex128)
+
+
+def _eval_node(f, env, opts, slots=None):
+    """(value, tr_n gradient) of a compiled node at the slot environment ``env``.
+
+    The gradient is taken with respect to the slots in ``slots`` and stacked
+    as a (len(slots), n, n) array; it is None when ``slots`` is None.  Atoms
+    take the cyclic derivative from ``trace_pass``, connectives the chain
+    rule, and quantifiers the envelope rule (see ``_eval_quant``).
+    """
     if isinstance(f, Const):
-        return f.value
+        return f.value, _zero_gradient(env, slots)
     if isinstance(f, _SlotAtom):
-        val = trace_pass(f.terms, env)[0]
-        if f.take_real:
-            return float(val.real)
-        scale = max(1.0, abs(val))
-        if abs(val.imag) > _IMAG_TOL * scale:
-            raise EvalError(f"tr(...) has non-real value {val}; use re tr(...)")
-        return float(val.real)
+        val, grad = trace_pass(f.terms, env, slots)
+        if not f.take_real:
+            scale = max(1.0, abs(val))
+            if abs(val.imag) > _IMAG_TOL * scale:
+                raise EvalError(f"tr(...) has non-real value {val}; use re tr(...)")
+        return float(val.real), grad
+    if isinstance(f, _SlotQuant):
+        return _eval_quant(f, env, opts, slots)
+    if isinstance(f, (Arith, Call)):
+        args = [_eval_node(a, env, opts, slots) for a in f.args]
+        value, partials = _connective(f, [a for a, _ in args])
+        if slots is None:
+            return value, None
+        grad = _zero_gradient(env, slots)
+        for k, (_, g) in zip(partials, args):
+            if k != 0:
+                grad += k * g
+        return value, grad
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _connective(f, vals: list[float]) -> tuple[float, tuple[float, ...]]:
+    """Value of an Arith or Call node from its argument values, and its partial derivatives.
+
+    Where a connective has no derivative the partials take a fixed one-sided
+    value: a tie in max or min follows the first argument, the one the value
+    is taken from; abs at 0 takes its right derivative 1; exp at or above
+    its clamp at 700 has slope 0; sqrt at 0, and pow at 0 with an exponent
+    below 1, whose right derivatives are infinite, take 0.
+    """
     if isinstance(f, Arith):
         if f.op == "neg":
-            return -_eval_node(f.args[0], env, opts)
-        a = _eval_node(f.args[0], env, opts)
+            return -vals[0], (-1.0,)
+        a, b = vals
         if f.op == "pow":
-            expo = f.args[1].value
-            if a < 0 and expo != int(expo):
+            if a < 0 and b != int(b):
                 raise EvalError(f"fractional power of negative value {a}")
-            return float(a**expo)
-        b = _eval_node(f.args[1], env, opts)
+            value = float(a**b)
+            if a != 0:
+                return value, (b * value / a, 0.0)
+            return value, (1.0 if b == 1 else 0.0, 0.0)
         if f.op == "+":
-            return a + b
+            return a + b, (1.0, 1.0)
         if f.op == "-":
-            return a - b
+            return a - b, (1.0, -1.0)
         if f.op == "*":
-            return a * b
+            return a * b, (b, a)
         if f.op == "/":
             if b == 0:
                 raise EvalError("division by zero in connective")
-            return a / b
+            return a / b, (1.0 / b, -(a / b) / b)
         raise EvalError(f"unknown operator {f.op}")
-    if isinstance(f, Call):
-        vals = [_eval_node(a, env, opts) for a in f.args]
-        if f.func == "max":
-            return max(vals)
-        if f.func == "min":
-            return min(vals)
-        if f.func == "abs":
-            return abs(vals[0])
-        if f.func == "sqrt":
-            if vals[0] < 0:
-                raise EvalError(f"sqrt of negative value {vals[0]}")
-            return math.sqrt(vals[0])
-        if f.func == "exp":
-            return math.exp(min(vals[0], 700.0))
-        if f.func == "log":
-            if vals[0] <= 0:
-                raise EvalError(f"log of non-positive value {vals[0]}")
-            return math.log(vals[0])
-        raise EvalError(f"unknown connective {f.func}")
-    if isinstance(f, _SlotQuant):
-        return _eval_quant(f, env, opts)
-    raise TypeError(f"not a formula node: {f!r}")
+    if f.func in ("max", "min"):
+        a, b = vals
+        first = not (b > a if f.func == "max" else b < a)
+        return (a, (1.0, 0.0)) if first else (b, (0.0, 1.0))
+    (a,) = vals
+    if f.func == "abs":
+        return abs(a), (1.0 if a >= 0 else -1.0,)
+    if f.func == "sqrt":
+        if a < 0:
+            raise EvalError(f"sqrt of negative value {a}")
+        value = math.sqrt(a)
+        return value, (0.5 / value if value > 0 else 0.0,)
+    if f.func == "exp":
+        value = math.exp(min(a, 700.0))
+        return value, (value if a < 700.0 else 0.0,)
+    if f.func == "log":
+        if a <= 0:
+            raise EvalError(f"log of non-positive value {a}")
+        return math.log(a), (1.0 / a,)
+    raise EvalError(f"unknown connective {f.func}")
 
 
 def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
@@ -692,15 +758,25 @@ def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
     return (u * np.minimum(s, radius)) @ vh
 
 
-def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions) -> float:
+def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
+    """(value, gradient) of a sup/inf node: the best of projected ascents from several starts.
+
+    Envelope (Danskin) rule: the gradient with respect to ``slots`` is the
+    body's gradient at the best point found, with the quantified slot held
+    there.
+    """
     sign = f.sign
     radius = f.radius
     n = env[0].shape[0]
     rng = opts.seed.derive(f.qid).rng()
 
-    def objective(y: np.ndarray) -> float:
+    def value(y: np.ndarray) -> float:
         env[f.slot] = y
-        return sign * _eval_node(f.body, env, opts)
+        return sign * _eval_node(f.body, env, opts)[0]
+
+    def gradient(y: np.ndarray) -> np.ndarray:
+        env[f.slot] = y
+        return sign * _eval_node(f.body, env, opts, (f.slot,))[1][0]
 
     starts = [np.zeros((n, n), dtype=np.complex128), radius * np.eye(n, dtype=np.complex128)]
     while len(starts) < opts.starts:
@@ -708,46 +784,39 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions) -> float:
         starts.append(_project_ball(radius * g, radius))
     starts = starts[: opts.starts]
 
-    best = -math.inf
+    best, best_y = -math.inf, starts[0]
     for y0 in starts:
-        val = _ascend(objective, y0, radius, opts)
-        best = max(best, val)
-    return sign * best
+        val, y = _ascend(value, gradient, y0, radius, opts)
+        if val > best:
+            best, best_y = val, y
+    if slots is None:
+        return sign * best, None
+    env[f.slot] = best_y
+    return sign * best, _eval_node(f.body, env, opts, slots)[1]
 
 
-def _fd_gradient(objective, y: np.ndarray, h: float) -> np.ndarray:
-    """Entrywise central differences; gradient as a complex matrix direction."""
-    n = y.shape[0]
-    g = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            for unit in (1.0, 1.0j):
-                yp = y.copy()
-                yp[a, b] += h * unit
-                ym = y.copy()
-                ym[a, b] -= h * unit
-                d = (objective(yp) - objective(ym)) / (2 * h)
-                g[a, b] += d * unit
-    return g
+def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
+    """Projected gradient ascent with multiplicative line search on step size.
 
-
-def _ascend(objective, y0: np.ndarray, radius: float, opts: EvalOptions) -> float:
-    """Projected gradient ascent with multiplicative line search on step size."""
+    Returns the last accepted (value, point).  ``gradient`` is the tr_n
+    gradient, n times the entrywise one on whose scale the 1e-14 stopping
+    floor is set; a non-finite gradient ends the ascent where it is.
+    """
     y = _project_ball(y0, radius)
-    fy = objective(y)
+    fy = value(y)
+    n = y.shape[0]
     step = opts.step if opts.step is not None else radius
     min_step = max(opts.tol * radius, 1e-14)
-    h = opts.fd_step * radius
     for _ in range(opts.iters):
-        g = _fd_gradient(objective, y, h)
+        g = gradient(y)
         gnorm = np.linalg.norm(g)
-        if gnorm < 1e-14:
+        if not 1e-14 * n <= gnorm < math.inf:
             break
         direction = g / gnorm
         improved = False
         while step >= min_step:
             y_new = _project_ball(y + step * direction, radius)
-            f_new = objective(y_new)
+            f_new = value(y_new)
             if f_new > fy + 1e-15:
                 y, fy = y_new, f_new
                 step *= 1.3
@@ -756,7 +825,7 @@ def _ascend(objective, y0: np.ndarray, radius: float, opts: EvalOptions) -> floa
             step *= 0.5
         if not improved:
             break
-    return fy
+    return fy, y
 
 
 # ---------------------------------------------------------------------------

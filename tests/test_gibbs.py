@@ -366,15 +366,15 @@ def test_herbst_lipschitz_estimate_uses_eval_opts(monkeypatch):
     ens = gibbs.Ensemble(rng.normal(size=(4, 1, 2, 2)) + 1j * rng.normal(size=(4, 1, 2, 2)))
     opts = logic.EvalOptions(starts=2, iters=40)
     seen = []
-    evaluate = logic.evaluate
+    for name in ("evaluate", "value_and_gradient"):
+        def spy(f, x, o=None, name=name, real=getattr(logic, name)):
+            seen.append((name, o))
+            return real(f, x, o)
 
-    def spy(f, x, o=None):
-        seen.append(o)
-        return evaluate(f, x, o)
-
-    monkeypatch.setattr(logic, "evaluate", spy)
+        monkeypatch.setattr(logic, name, spy)
     rep = gibbs.herbst_check(ens, "sup{y:1.0} re tr(y*x1)", c=1.0, eval_opts=opts)
-    assert len(seen) > ens.count and all(o is opts for o in seen)
+    assert len(seen) > ens.count and all(o is opts for _, o in seen)
+    assert {name for name, _ in seen} == {"evaluate", "value_and_gradient"}
     assert rep.lipschitz == pytest.approx(1.0, abs=1e-3)
 
 

@@ -1,12 +1,15 @@
 """Formula parsing, evaluation, and quantifier-free type extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freegeo import logic, matcore as mc
 from freegeo.logic import EvalOptions, NcPolynomial, parse, print_formula
+from test_gibbs import fd_gradient
 
 RNG = np.random.default_rng(555)
 
@@ -262,6 +265,151 @@ def test_trace_pass_matches_polynomial_evaluation(poly, n, seed):
     scale = 1.0 + sum(abs(c) * np.prod([np.linalg.norm(env[name]) for name, _ in w])
                       for w, c in poly.terms.items())
     assert abs(value - ref) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# Analytic formula gradients
+
+# trace polynomials in the free x1 (slot 0) and a bound y (slot 1)
+xy_polynomials = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(["x1", "y"]), st.booleans()), min_size=1,
+             max_size=3).map(tuple),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False,
+                       allow_infinity=False),
+    min_size=1, max_size=3).map(NcPolynomial)
+
+
+def _positive(f):
+    """1 + f^2: an argument on which sqrt, log, / and fractional powers are smooth."""
+    return logic.Arith("+", (logic.Const(1.0), logic.Arith("pow", (f, logic.Const(2.0)))))
+
+
+qf_bodies = st.recursive(
+    st.builds(logic.Atom, xy_polynomials),
+    lambda kids: st.one_of(
+        st.builds(lambda op, a, b: logic.Arith(op, (a, b)), st.sampled_from("+-*"), kids, kids),
+        st.builds(lambda a, b: logic.Arith("/", (a, _positive(b))), kids, kids),
+        st.builds(lambda a: logic.Arith("neg", (a,)), kids),
+        st.builds(lambda a, e: logic.Arith("pow", (a, logic.Const(e))), kids,
+                  st.sampled_from([2.0, 3.0])),
+        st.builds(lambda a, e: logic.Arith("pow", (_positive(a), logic.Const(e))), kids,
+                  st.sampled_from([0.5, 1.5, -1.0])),
+        st.builds(lambda f, a, b: logic.Call(f, (a, b)), st.sampled_from(["max", "min"]),
+                  kids, kids),
+        st.builds(lambda f, a: logic.Call(f, (a,)), st.sampled_from(["abs", "exp"]), kids),
+        st.builds(lambda f, a: logic.Call(f, (_positive(a),)), st.sampled_from(["sqrt", "log"]),
+                  kids),
+    ), max_leaves=6)
+
+
+def _away_from_kinks(node, env, margin=1e-3):
+    """No abs argument and no max/min gap within ``margin`` of 0 anywhere in the tree."""
+    if not isinstance(node, (logic.Arith, logic.Call)):
+        return True
+    vals = [logic._eval_node(a, env, None)[0] for a in node.args]
+    if isinstance(node, logic.Call) and node.func in ("abs", "max", "min"):
+        if abs(vals[0] if node.func == "abs" else vals[0] - vals[1]) < margin:
+            return False
+    return all(_away_from_kinks(a, env, margin) for a in node.args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=qf_bodies, n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_formula_gradient_matches_finite_differences(body, n, seed):
+    # the reverse pass through + - * / pow max min abs sqrt exp log against
+    # central differences, with respect to the free x1 and the bound y
+    compiled = logic._compile(logic.Quant("sup", "y", 1.0, body), 1)[0].body
+    rng = np.random.default_rng(seed)
+    entries = (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))) / np.sqrt(2 * n)
+
+    def value(e):
+        return logic._eval_node(compiled, list(e), None)[0]
+
+    try:
+        val = value(entries)
+    except OverflowError:
+        val = np.inf
+    assume(abs(val) < 1e6 and _away_from_kinks(compiled, list(entries)))
+    grad = logic._eval_node(compiled, list(entries), None, (0, 1))[1]
+    assert grad.shape == (2, n, n)
+    fd = fd_gradient(value, entries)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * (1.0 + np.max(np.abs(grad)) + abs(val))
+
+
+def test_envelope_gradient_is_polar_factor():
+    # sup{y:1} re tr(y x) is the normalized nuclear norm of x; by the envelope
+    # rule its tr_n gradient is the polar factor u v^* of x = u s v^*
+    x = random_tuple(4, 1, np.random.default_rng(21))
+    u, s, vh = np.linalg.svd(x.entries[0])
+    val, grad = logic.value_and_gradient(parse("sup{y:1.0} re tr(y*x1)"), x,
+                                         EvalOptions(starts=2, iters=100))
+    assert val == pytest.approx(np.sum(s) / 4, abs=1e-9)
+    assert np.max(np.abs(grad.entries[0] - u @ vh)) <= 1e-6
+
+
+def test_envelope_gradient_taken_at_best_start():
+    # the zero start ties, follows the first argument and ends at the polar
+    # factor of x1 (value 3); the identity start, run last, stays at y = I on
+    # the second argument (value 1).  The gradient belongs to the best point.
+    f = parse("sup{y:1.0} max(re tr(y*x1), 2.0*re tr(y*x2))")
+    x = mc.MatrixTuple(np.stack([np.diag([3.0, -3.0]), 0.5 * np.eye(2)]).astype(complex))
+    val, grad = logic.value_and_gradient(f, x, EvalOptions(starts=2, iters=50))
+    assert val == pytest.approx(3.0, abs=1e-12)
+    assert np.max(np.abs(grad.entries - np.stack([np.diag([1.0, -1.0]), np.zeros((2, 2))]))) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("body,starts", [
+    ("sqrt(re tr(y'*y))", 3),   # slope 0 at 0: the zero start stays, the others reach 1
+    ("(re tr(y'*y))^0.5", 3),
+    ("abs(re tr(y))", 1),       # right derivative 1 at 0: the zero start climbs to y = I
+    ("max(re tr(y), re tr(y'))", 1),  # a tie follows the first argument
+])
+def test_kink_at_zero_start_reaches_sup(body, starts):
+    # every body is 0 at the zero start, where its connective has no
+    # derivative, and has sup 1 over the unit ball
+    x = random_tuple(3, 1, np.random.default_rng(22))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = logic.evaluate(parse(f"sup{{y:1.0}} {body}"), x, EvalOptions(starts=starts, iters=60))
+    assert v == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_ends_the_ascent(monkeypatch, bad):
+    projected = []
+    project = logic._project_ball
+
+    def spy(y, radius):
+        projected.append(np.all(np.isfinite(y)))
+        return project(y, radius)
+
+    monkeypatch.setattr(logic, "_project_ball", spy)
+    y0 = 0.5 * np.eye(2, dtype=complex)
+    fy, y = logic._ascend(lambda y: 1.0, lambda y: np.full((2, 2), bad, dtype=complex),
+                          y0, 1.0, EvalOptions())
+    assert fy == 1.0 and np.array_equal(y, y0)
+    assert projected == [True]
+
+
+def test_ascent_iteration_makes_constant_trace_passes(monkeypatch):
+    # one iteration on the n = 6 delta predicate: one gradient pass at the
+    # current point and one value pass per line-search trial (each trial
+    # projects once, as does the start); central differences made 4n^2 = 144
+    n = 6
+    x = random_tuple(n, 1, np.random.default_rng(23))
+    counts = {"trace_pass": 0, "_project_ball": 0}
+    for name in counts:
+        def spy(*args, name=name, real=getattr(logic, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(logic, name, spy)
+    logic.evaluate(delta_predicate(1.0), x, EvalOptions(starts=1, iters=1))
+    trials = counts["_project_ball"] - 1
+    assert trials >= 1
+    assert counts["trace_pass"] == 1 + 1 + trials
+    assert counts["trace_pass"] < 4 * n * n
 
 
 # ---------------------------------------------------------------------------
