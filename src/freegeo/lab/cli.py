@@ -141,7 +141,7 @@ def _cmd_w2(args) -> int:
     b = gibbs.load_ensemble(args.b)
     w, plan = tp.empirical_w2(a, b, method=args.method)
     print(json.dumps({"w2": w, "cost": plan.cost, "method": args.method,
-                      "plan": plan.to_json()}))
+                      "plan": plan.to_json(), "diagnostics": plan.diagnostics}))
     return 0
 
 

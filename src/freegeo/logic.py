@@ -713,7 +713,10 @@ def _connective(f, vals: list[float]) -> tuple[float, tuple[float, ...]]:
         if f.op == "pow":
             if a < 0 and b != int(b):
                 raise EvalError(f"fractional power of negative value {a}")
-            value = float(a**b)
+            try:
+                value = float(a**b)
+            except (ZeroDivisionError, OverflowError):
+                raise EvalError(f"pow({a!r}, {b!r}) has no finite value") from None
             if a != 0:
                 return value, (b * value / a, 0.0)
             return value, (1.0 if b == 1 else 0.0, 0.0)
@@ -752,6 +755,8 @@ def _connective(f, vals: list[float]) -> tuple[float, tuple[float, ...]]:
 
 def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
     """Singular-value truncation onto the operator-norm ball of given radius."""
+    if np.vdot(y, y).real <= radius * radius:  # the Frobenius norm bounds the operator norm
+        return y
     u, s, vh = np.linalg.svd(y)
     if s.size and s[0] <= radius:
         return y

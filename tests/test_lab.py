@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from freegeo import gibbs
 from freegeo.lab import experiments as ex
 from freegeo.lab.cli import main as cli_main
 from freegeo.lab.config import ConfigError, RunConfig
@@ -220,6 +221,17 @@ def test_cli_sample_eval_w2_pipeline(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert blob["w2"] == 0.0
+    assert blob["cost"] == 0.0
+    count = len(blob["plan"]["permutation"])
+    assert blob["diagnostics"] == {"assignment_size": count}
+
+    code = cli_main(["w2", "--a", str(fige), "--b", str(fige), "--method", "sinkhorn"])
+    assert code == 0
+    blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(blob) == {"w2", "cost", "method", "plan", "diagnostics"}
+    diag = blob["diagnostics"]
+    assert diag["assignment_size"] == count and diag["sinkhorn_iterations"] >= 1
+    assert 0.0 <= diag["sinkhorn_marginal_error"] < 1e-6
 
 
 def test_cli_eval_single_tuple(tmp_path, capsys):
@@ -230,6 +242,16 @@ def test_cli_eval_single_tuple(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "value" in blob and math.isfinite(blob["value"])
+
+
+@pytest.mark.parametrize("formula, value", [("(re tr(x1))^-1.0", "pow(0.0, -1.0)"),
+                                            ("(1e200 + re tr(x1))^2.0", "pow(1e+200, 2.0)")])
+def test_cli_eval_pow_error(tmp_path, capsys, formula, value):
+    fige = tmp_path / "zero.fige"
+    gibbs.save_ensemble(gibbs.Ensemble(np.zeros((1, 1, 2, 2), dtype=complex)), fige)
+    code = cli_main(["eval", "--formula", formula, "--in", str(fige)])
+    assert code == 1
+    assert f"error: {value} has no finite value" in capsys.readouterr().err
 
 
 def test_cli_entropy_subcommand(tmp_path, capsys):

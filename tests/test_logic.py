@@ -1,5 +1,6 @@
 """Formula parsing, evaluation, and quantifier-free type extraction."""
 
+import re
 import warnings
 
 import numpy as np
@@ -143,6 +144,15 @@ def test_eval_connective_domain_errors():
         logic.evaluate(parse("log(re tr(x1))"), x)
     with pytest.raises(logic.EvalError):
         logic.evaluate(parse("sqrt(re tr(x1))"), x)
+
+
+@pytest.mark.parametrize("text, value", [("(re tr(x1))^-1.0", "pow(0.0, -1.0)"),
+                                         ("(1e200 + re tr(x1))^2.0", "pow(1e+200, 2.0)")])
+def test_eval_pow_errors_are_eval_errors(text, value):
+    # zero to a negative power, and an overflowing power
+    x = mc.MatrixTuple(np.zeros((1, 2, 2), dtype=complex))
+    with pytest.raises(logic.EvalError, match=re.escape(value)):
+        logic.evaluate(parse(text), x)
 
 
 def test_eval_free_variable_guard():
@@ -327,7 +337,8 @@ def test_formula_gradient_matches_finite_differences(body, n, seed):
 
     try:
         val = value(entries)
-    except OverflowError:
+    except logic.EvalError as exc:  # only a power can fail on these bodies
+        assert str(exc).startswith("pow(")
         val = np.inf
     assume(abs(val) < 1e6 and _away_from_kinks(compiled, list(entries)))
     grad = logic._eval_node(compiled, list(entries), None, (0, 1))[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from freegeo import gibbs, matcore as mc, transport as tp
 
@@ -107,6 +108,91 @@ def test_sinkhorn_nonconvergence_raises():
     b = random_ensemble(10, 2, 1, rng, shift=2.0)
     with pytest.raises(tp.SinkhornError):
         tp.empirical_w2(a, b, method="sinkhorn", eps_reg=1e-9, max_iter=3)
+
+
+def _direct_cost(a, b):
+    """Reference cost matrix: C[i, j] = ||x_i - y_j||_{tr_n}^2 by direct differences."""
+    fa, fb = tp._flat(a), tp._flat(b)
+    return np.sum(np.abs(fa[:, None, :] - fb[None, :, :]) ** 2, axis=2) / a.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.tuples(st.integers(1, 12), st.integers(1, 12)), m=st.integers(1, 3),
+       n=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 37.0, 1e3]),
+       shared=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_gram_cost_matrix_matches_direct_differences(counts, m, n, scale, shared, seed):
+    # some of b's samples are copies of a's, so entries near 0 are covered
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(counts[0], n, m, rng)
+    samp = random_ensemble(counts[1], n, m, rng).samples.copy()
+    k = min(shared, counts[0], counts[1])
+    samp[:k] = a.samples[rng.permutation(counts[0])[:k]]
+    a = gibbs.Ensemble(a.samples * scale)
+    b = gibbs.Ensemble(samp * scale)
+    cost = tp._cost_matrix(a, b)
+    assert cost.shape == counts
+    assert np.all(cost >= 0.0)
+    norms = [np.max(np.sum(np.abs(tp._flat(e)) ** 2, axis=1) / n) for e in (a, b)]
+    np.testing.assert_allclose(cost, _direct_cost(a, b), rtol=0,
+                               atol=1e-12 * (1.0 + norms[0] + norms[1]))
+
+
+@pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+def test_duplicated_samples_self_distance_exactly_zero(method):
+    rng = np.random.default_rng(16)
+    base = random_ensemble(7, 3, 2, rng).samples
+    a = gibbs.Ensemble(base[rng.integers(0, 7, size=20)])  # every sample repeated
+    w, plan = tp.empirical_w2(a, a, method=method)
+    assert plan.cost == 0.0
+    if method == "exact":
+        assert w == 0.0
+
+
+@pytest.mark.parametrize("seed", [17, 18, 19])
+def test_exact_plan_matches_direct_difference_assignment(seed):
+    # the assignment of the direct-difference matrix, and its mean pair cost
+    # in the same summation order, bit for bit
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(40, 4, 2, rng)
+    b = random_ensemble(40, 4, 2, rng, shift=0.3)
+    _, plan = tp.empirical_w2(a, b)
+    rows, cols = linear_sum_assignment(_direct_cost(a, b))
+    assert plan.pairing.tolist() == cols[np.argsort(rows)].tolist()
+    assert plan.cost == float(_direct_cost(a, b)[rows, cols].mean())
+
+
+@pytest.mark.parametrize("case", ["unknown_method", "unequal_exact", "unequal_sinkhorn",
+                                  "over_cap", "max_iter_zero"])
+def test_invalid_w2_inputs_fail_before_the_cost_matrix(monkeypatch, case):
+    def no_cost(a, b):
+        raise AssertionError("cost matrix built for invalid input")
+
+    monkeypatch.setattr(tp, "_cost_matrix", no_cost)
+    monkeypatch.setattr(tp, "MAX_EXACT_COUNT", 3)
+    rng = np.random.default_rng(21)
+    a, b, c = (random_ensemble(k, 2, 1, rng) for k in (4, 4, 3))
+    args, match = {
+        "unknown_method": ((a, b, "greedy"), "unknown method"),
+        "unequal_exact": ((a, c, "exact"), "equal counts"),
+        "unequal_sinkhorn": ((a, c, "sinkhorn"), "equal counts"),
+        "over_cap": ((a, b, "exact"), "capped at 3"),
+        "max_iter_zero": ((a, b, "sinkhorn", None, 0), "max_iter"),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        tp.empirical_w2(*args)
+
+
+def test_plan_diagnostics():
+    rng = np.random.default_rng(20)
+    a = random_ensemble(12, 3, 1, rng)
+    b = random_ensemble(12, 3, 1, rng, shift=0.5)
+    _, plan = tp.empirical_w2(a, b)
+    assert plan.diagnostics == {"assignment_size": 12}
+    _, plan = tp.empirical_w2(a, b, method="sinkhorn", eps_reg=0.5, tol=1e-8)
+    diag = plan.diagnostics
+    assert set(diag) == {"assignment_size", "sinkhorn_iterations", "sinkhorn_marginal_error"}
+    assert diag["assignment_size"] == 12 and diag["sinkhorn_iterations"] >= 1
+    assert 0.0 <= diag["sinkhorn_marginal_error"] < 1e-8
 
 
 # ---------------------------------------------------------------------------
