@@ -426,8 +426,10 @@ class _EnvelopePotential:
     form keeps the envelope gain O(eps) even in directions where moments move
     only quadratically, so the sup collapses to the target at rate eps.  The
     value is a supremum of affine functions of y (hence exactly convex), and
-    its gradient is the inner maximizer plus t y (the envelope rule).
-    Duck-types the sampler's Potential interface.
+    its gradient is the inner maximizer plus t y (the envelope rule).  The
+    inner sup over the operator-norm ball of the given radius runs on
+    ``logic._ascend`` from the last maximizer.  Duck-types the sampler's
+    Potential interface.
     """
 
     def __init__(self, target: np.ndarray, t: float, eps: float, radius: float,
@@ -440,9 +442,10 @@ class _EnvelopePotential:
         # (word, slot word) for every word of degree 1 or 2, compiled once
         unit = logic.NcPolynomial(dict.fromkeys((w for w in logic._all_words(m, 2) if w), 1.0))
         self.words = [(w, sw) for w, (_, sw) in zip(unit.terms, logic.compile_poly(unit))]
-        self.tau = logic.qf_type(MatrixTuple.scalar(self.target, n), 2).moments
-        self._warm = MatrixTuple.scalar(self.target, n)
-        self._memo: tuple[bytes, tuple] | None = None
+        start = MatrixTuple.scalar(self.target, n)
+        self.tau = logic.qf_type(start, 2).moments
+        self._warm = start.entries
+        self._opts = logic.EvalOptions(starts=1, iters=30, step=0.25 * eps, tol=1e-13 / radius)
 
     def formula_text(self) -> str:
         return (f"envelope: sup_x [re<x,y> - eta(x)/{self.eps}] + {self.t}*q, "
@@ -451,65 +454,35 @@ class _EnvelopePotential:
     def _eta(self, x: MatrixTuple):
         """eta(x), and the trace polynomial whose real part has the gradient of eta at x."""
         moments = logic.qf_type(x, 2).moments
-        eta = sum(abs(moments[w] - self.tau[w]) for w, _ in self.words)
+        diffs = [(moments[w] - self.tau[w], sw) for w, sw in self.words]
         # d|m_w - tau| = re(conj(unit(m_w - tau)) dm_w): freeze the unit factor
         # as a coefficient and take the cyclic derivative of the trace polynomial
-        terms = []
-        for w, sw in self.words:
-            diff = moments[w] - self.tau[w]
-            if abs(diff) > 1e-14:
-                terms.append((np.conj(diff) / abs(diff), sw))
-        return eta, terms
+        return (sum(abs(d) for d, _ in diffs),
+                [(np.conj(d) / abs(d), sw) for d, sw in diffs if abs(d) > 1e-14])
 
-    def _solve(self, y: MatrixTuple, iters: int = 30, tol: float = 1e-9):
-        """Projected ascent for the inner sup, warm-started along the chain.
+    def _solve(self, y: MatrixTuple):
+        """(maximizer, value) of the inner sup.  ``value`` keeps the unit-coefficient
+        terms of its last eta for ``gradient``: one ``trace_pass`` per accepted point."""
+        eta_terms = []
 
-        The gradient of eta is taken only at accepted points.
-        """
-        key = y.entries.tobytes()
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
-        x = self._warm
-        eta, eta_terms = self._eta(x)
-        fx = real_inner(x, y) - eta / self.eps
-        step = 0.25 * self.eps
-        for _ in range(iters):
-            eta_grad = logic.trace_pass(eta_terms, x.entries, range(x.m))[1]
-            g = y + (-1.0 / self.eps) * MatrixTuple(eta_grad)
-            gnorm = tracial_norm(g)
-            if gnorm < tol:
-                break
-            moved = False
-            while step > 1e-13:
-                x_new = MatrixTuple(np.stack([
-                    logic._project_ball(mat, self.radius)
-                    for mat in (x + step * g).entries]))
-                eta_new, terms_new = self._eta(x_new)
-                f_new = real_inner(x_new, y) - eta_new / self.eps
-                if f_new > fx + 1e-15:
-                    x, fx, eta_terms = x_new, f_new, terms_new
-                    step *= 1.3
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        self._warm = x
-        result = (x, fx)
-        self._memo = (key, result)
-        return result
+        def value(x: np.ndarray) -> float:
+            xt = MatrixTuple(x)
+            eta, eta_terms[:] = self._eta(xt)
+            return real_inner(xt, y) - eta / self.eps
+
+        def gradient(x: np.ndarray) -> np.ndarray:
+            return y.entries - logic.trace_pass(eta_terms, x, range(len(x)))[1] / self.eps
+
+        fx, self._warm = logic._ascend(value, gradient, self._warm, self.radius, self._opts)
+        return self._warm, fx
 
     def value(self, y: MatrixTuple) -> float:
-        _, sup_val = self._solve(y)
-        return sup_val + 0.5 * self.t * real_inner(y, y)
-
-    def gradient(self, y: MatrixTuple) -> MatrixTuple:
-        x_star, _ = self._solve(y)
-        return x_star + self.t * y
+        return self.value_and_gradient(y.entries)[0]
 
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         y = MatrixTuple(entries)
-        return self.value(y), self.gradient(y).entries
+        x_star, sup_val = self._solve(y)
+        return sup_val + 0.5 * self.t * real_inner(y, y), x_star + self.t * y.entries
 
 
 def run_moment_matrix_scale(cfg: RunConfig) -> Report:
@@ -522,9 +495,17 @@ def run_moment_matrix_scale(cfg: RunConfig) -> Report:
     n, m = cfg["n"], cfg["m"]
     t_reg = cfg["t"]
     a_val = cfg["target"]
+    eps, radius = cfg["type_epsilon"], cfg["radius"]
+    if not 0 < eps < math.inf:
+        raise ValueError(f"type_epsilon must be finite and > 0, got {eps}")
+    if not math.isfinite(a_val):
+        raise ValueError(f"target must be finite, got {a_val}")
+    if not (radius > 0 and abs(a_val) <= radius < math.inf):
+        raise ValueError(f"radius must be finite, > 0 and >= |target| = {abs(a_val)}, got {radius}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     report = Report("moment", cfg)
-    pot = _EnvelopePotential(np.full(m, a_val), t_reg, cfg["type_epsilon"],
-                             cfg["radius"], n, m)
+    pot = _EnvelopePotential(np.full(m, a_val), t_reg, eps, radius, n, m)
     ens = gibbs.sample_gibbs(pot, n, m, cfg["count"],
                              gibbs.SamplerOptions(seed=Seed(cfg["seed"]),
                                                   convexity_spot_pairs=6))
@@ -533,20 +514,20 @@ def run_moment_matrix_scale(cfg: RunConfig) -> Report:
     target_mean = -a_val / t_reg
     target_sq = 2 * m / t_reg + m * (a_val / t_reg) ** 2
     # O(eps) envelope bias plus Monte Carlo noise
-    tol_mean = 0.1 + 2.0 * cfg["type_epsilon"]
-    tol_sq = 0.1 * target_sq + 2.0 * cfg["type_epsilon"]
+    tol_mean = 0.1 + 2.0 * eps
+    tol_sq = 0.1 * target_sq + 2.0 * eps
     report.add("mean_tuple", Metric(
         value=mean_diag, target=target_mean, tolerance=tol_mean,
         passed=abs(mean_diag - target_mean) <= tol_mean,
         provenance="envelope-gradient Gibbs sampler vs tilted-Gaussian maximizer",
-        slack={"type_epsilon": cfg["type_epsilon"],
+        slack={"type_epsilon": eps,
                "acceptance": ens.diagnostics["acceptance_rate"]},
     ))
     report.add("second_moment", Metric(
         value=mean_sq, target=target_sq, tolerance=tol_sq,
         passed=abs(mean_sq - target_sq) <= tol_sq,
         provenance="E||Y||^2 of the quasi-moment ensemble vs 2m/t + ||a||^2/t^2",
-        slack={"type_epsilon": cfg["type_epsilon"]},
+        slack={"type_epsilon": eps},
     ))
     report.series["diagnostics"] = [dict(ens.diagnostics)]
     return report

@@ -204,6 +204,8 @@ class EvalOptions:
     def __post_init__(self):
         if self.starts < 1 or self.iters < 1 or self.tol <= 0:
             raise ValueError("starts >= 1, iters >= 1, tol > 0 required")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError(f"step must be None or finite and > 0, got {self.step}")
 
 
 _CALL_ARITY = {"max": 2, "min": 2, "abs": 1, "sqrt": 1, "exp": 1, "log": 1}
@@ -754,13 +756,18 @@ def _connective(f, vals: list[float]) -> tuple[float, tuple[float, ...]]:
 
 
 def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
-    """Singular-value truncation onto the operator-norm ball of given radius."""
-    if np.vdot(y, y).real <= radius * radius:  # the Frobenius norm bounds the operator norm
+    """Singular-value truncation of one matrix, or of each in a (k, n, n) stack, onto its
+    operator-norm ball; a matrix already inside its ball comes back bit-unchanged."""
+    if np.vdot(y, y).real <= radius * radius:  # the Frobenius norm bounds every operator norm
         return y
     u, s, vh = np.linalg.svd(y)
-    if s.size and s[0] <= radius:
+    tops = s[..., :1].ravel().tolist()  # each matrix's operator norm
+    if max(tops) <= radius:
         return y
-    return (u * np.minimum(s, radius)) @ vh
+    out = (u * np.minimum(s, radius)[..., None, :]) @ vh
+    if min(tops) <= radius:  # a stack with some matrices inside their balls
+        out = np.where(s[..., :1, None] <= radius, y, out)
+    return out
 
 
 def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
@@ -803,13 +810,15 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
 def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
     """Projected gradient ascent with multiplicative line search on step size.
 
-    Returns the last accepted (value, point).  ``gradient`` is the tr_n
+    ``y0`` is one matrix or a (k, n, n) stack, each matrix held in its own
+    ball.  Returns the last accepted (value, point).  ``gradient`` is the tr_n
     gradient, n times the entrywise one on whose scale the 1e-14 stopping
-    floor is set; a non-finite gradient ends the ascent where it is.
+    floor is set; a non-finite gradient ends the ascent where it is.  It is
+    only called at the point of the latest ``value`` call.
     """
     y = _project_ball(y0, radius)
     fy = value(y)
-    n = y.shape[0]
+    n = y.shape[-1]
     step = opts.step if opts.step is not None else radius
     min_step = max(opts.tol * radius, 1e-14)
     for _ in range(opts.iters):

@@ -13,6 +13,7 @@ from freegeo.lab import experiments as ex
 from freegeo.lab.cli import main as cli_main
 from freegeo.lab.config import ConfigError, RunConfig
 from freegeo.lab.report import Metric, Report
+from freegeo.matcore import MatrixTuple
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,10 @@ def test_moment_golden_digest(mu, t):
     assert hashlib.sha256(blob).hexdigest() == MOMENT_GOLDEN[(mu, t)]
 
 
+# sha256 of the JSON of (metrics, series) of the matrix-scale report below
+MATRIX_SCALE_GOLDEN = "ce3c3b00911f6f5edf003f7e8dc39d4d3d8eb6da00150bf1200f287c7840f979"
+
+
 def test_moment_matrix_scale_flag():
     # envelope-gradient sampler vs the analytic tilted-Gaussian maximizer
     cfg = RunConfig.from_dict("moment", {"matrix_scale": "true", "t": 2.0,
@@ -171,6 +176,48 @@ def test_moment_matrix_scale_flag():
     assert rep.metrics["mean_tuple"].value == pytest.approx(-0.25, abs=0.1)
     assert rep.metrics["second_moment"].value == pytest.approx(
         2 / 2.0 + 0.25**2, rel=0.15)
+    blob = json.dumps({"metrics": {k: m.to_json() for k, m in rep.metrics.items()},
+                       "series": rep.series}, sort_keys=True, default=float).encode()
+    assert hashlib.sha256(blob).hexdigest() == MATRIX_SCALE_GOLDEN
+
+
+@pytest.mark.parametrize("key,value", [
+    ("type_epsilon", 0.0), ("type_epsilon", -0.02),
+    ("radius", 0.0), ("radius", -2.5), ("radius", 0.4),  # 0.4 < |target| = 0.5
+    ("m", 0),
+    ("target", "nan"), ("target", "inf"),
+])
+def test_moment_matrix_scale_rejects_bad_config_before_sampling(monkeypatch, key, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an invalid config")
+
+    monkeypatch.setattr(gibbs, "sample_gibbs", no_sampling)
+    cfg = RunConfig.from_dict("moment", {"matrix_scale": "true", "target": 0.5, key: value})
+    with pytest.raises(ValueError, match=rf"^{key} must"):
+        ex.run_moment_fixed_point(cfg)
+
+
+def test_envelope_inner_solve_work_count(monkeypatch):
+    # one inner sup at the default config: a value (one qf_type) at the start
+    # and at each line-search trial, each projected once, and one trace_pass
+    # per accepted point; no solve leaves the target here, so every trial
+    # halves the step from 0.25 * type_epsilon down to 1e-13
+    cfg = RunConfig.from_dict("moment", {"matrix_scale": "true"})
+    n, m = cfg["n"], cfg["m"]
+    pot = ex._EnvelopePotential(np.full(m, cfg["target"]), cfg["t"], cfg["type_epsilon"],
+                                cfg["radius"], n, m)
+    rng = np.random.default_rng(25)
+    y = MatrixTuple(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))
+    counts = {"qf_type": 0, "trace_pass": 0, "_project_ball": 0}
+    for name in counts:
+        def spy(*args, name=name, real=getattr(ex.logic, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ex.logic, name, spy)
+    x_star, _ = pot._solve(y)
+    assert np.array_equal(x_star, np.zeros((m, n, n)))
+    assert counts == {"qf_type": 37, "trace_pass": 1, "_project_ball": 37}
 
 
 def test_qfconv_constant_formula_zero_std():

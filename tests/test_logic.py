@@ -423,6 +423,56 @@ def test_ascent_iteration_makes_constant_trace_passes(monkeypatch):
     assert counts["trace_pass"] < 4 * n * n
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), n=st.integers(1, 5), radius=st.floats(0.1, 3.0),
+       inside=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_project_ball_stack_equals_per_matrix_calls(k, n, radius, inside, seed):
+    # matrices flagged inside are scaled into their ball, the others far out
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    for j in range(k):
+        norm = np.linalg.norm(stack[j], ord=2)
+        stack[j] *= radius * (rng.uniform(0.1, 0.99) if inside[j] else rng.uniform(1.5, 4.0)) / norm
+    projected = logic._project_ball(stack, radius)
+    expected = np.stack([logic._project_ball(mat, radius) for mat in stack])
+    assert np.array_equal(projected, expected)
+    for j in range(k):
+        if inside[j]:
+            assert np.array_equal(projected[j], stack[j])
+        else:
+            assert np.linalg.norm(projected[j], ord=2) == pytest.approx(radius, rel=1e-12)
+
+
+def test_ascend_on_a_stack_reaches_the_projection():
+    # the maximizer of -||y - c||^2 over a product of operator-norm balls is
+    # the slotwise singular-value truncation of c; the gradient is only asked
+    # for at the point of the latest value call
+    rng = np.random.default_rng(24)
+    c = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    c[1] *= 0.1 / np.linalg.norm(c[1], ord=2)  # inside the unit ball
+    last = []
+
+    def value(y):
+        last[:] = [y]
+        return -float(np.vdot(y - c, y - c).real)
+
+    def gradient(y):
+        assert y is last[0]
+        return -2.0 * (y - c)
+
+    fy, y = logic._ascend(value, gradient, np.zeros_like(c), 1.0,
+                          EvalOptions(iters=400, tol=1e-14))
+    assert np.allclose(y, logic._project_ball(c, 1.0), atol=1e-6)
+    assert fy == value(y)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+def test_eval_options_reject_a_non_positive_or_non_finite_step(step):
+    with pytest.raises(ValueError, match="step"):
+        EvalOptions(step=step)
+    assert EvalOptions(step=0.5).step == 0.5 and EvalOptions().step is None
+
+
 # ---------------------------------------------------------------------------
 # Quantifier-free types
 
