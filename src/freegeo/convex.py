@@ -1,11 +1,13 @@
 """Convex analysis on a real inner-product space: inf-convolution, Legendre
 transforms, displacement interpolation pairs, and curvature checkers.
 
-Points can be floats, real numpy vectors, or MatrixTuples (with the real part
-of the tr_n inner product); all routines dispatch on the backend through the
-small vector shims below.  Inner minimizations use a damped proximal
+Points are floats, real numpy vectors or MatrixTuples.  Every routine works
+with the ``+``, ``-`` and scalar ``*`` that all three implement; ``inner`` is
+the one function that looks at a point's type (on MatrixTuples it is the real
+part of the tr_n inner product).  Inner minimizations use a damped proximal
 fixed-point iteration with a golden-section fallback, stopping when the
-strong-convexity certificate bounds the value error by the tolerance.
+strong-convexity certificate bounds the value error by the tolerance; they
+take the analytic ``grad`` of the function minimised over.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class AdmissibilityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Backend shims
+# Inner product
 
 
 def inner(x, y) -> float:
@@ -63,54 +65,16 @@ def vnorm(x) -> float:
     return math.sqrt(max(inner(x, x), 0.0))
 
 
-def _axpy(a: float, x, y):
-    """a*x + y on any backend."""
-    if isinstance(x, MatrixTuple):
-        return a * x + y
-    if np.isscalar(x) or isinstance(x, (int, float)):
-        return a * float(x) + float(y)
-    return a * np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
-
-
-def _scale(a: float, x):
-    if isinstance(x, MatrixTuple):
-        return a * x
-    if np.isscalar(x) or isinstance(x, (int, float)):
-        return a * float(x)
-    return a * np.asarray(x, dtype=float)
-
-
-def _numeric_gradient(fn: Callable, x, h: float = 1e-6):
-    if np.isscalar(x) or isinstance(x, (int, float)):
-        return (fn(float(x) + h) - fn(float(x) - h)) / (2 * h)
-    if isinstance(x, MatrixTuple):
-        # gradient in the tr_n real metric: d f(x + t e) / dt = <g, e>_tr
-        ent = np.array(x.entries)
-        g = np.zeros_like(ent)
-        for idx in np.ndindex(ent.shape):
-            for unit in (1.0, 1.0j):
-                e = np.zeros_like(ent)
-                e[idx] = unit
-                fp = fn(MatrixTuple(ent + h * e))
-                fm = fn(MatrixTuple(ent - h * e))
-                # <g, e>_tr = g[idx]-component / n, so scale back by n
-                g[idx] += (fp - fm) / (2 * h) * unit * x.n
-        return MatrixTuple(g)
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        e = np.zeros_like(x)
-        e[idx] = 1.0
-        g[idx] = (fn(x + h * e) - fn(x - h * e)) / (2 * h)
-    return g
-
-
 @dataclass
 class ScalarFn:
-    """A scalar function of a point with optional subgradient and declared curvature.
+    """A scalar function of a point with a gradient and declared curvature.
 
-    ``strong_convexity`` is the constant c >= 0 with f - (c/2)||.||^2 convex;
-    ``semiconcavity`` is the constant u (possibly inf) with f - (u/2)||.||^2 concave.
+    ``grad`` is needed by every routine that minimises over the function
+    (inf-convolution, Hopf-Lax, Legendre, interpolation pairs); ``gradient``
+    raises a ValueError naming the function when it is None.  The checkers and
+    ``duality_gap`` use values only.  ``strong_convexity`` is the constant
+    c >= 0 with f - (c/2)||.||^2 convex; ``semiconcavity`` is the constant u
+    (possibly inf) with f - (u/2)||.||^2 concave.
     """
 
     fn: Callable
@@ -123,9 +87,10 @@ class ScalarFn:
         return float(self.fn(x))
 
     def gradient(self, x):
-        if self.grad is not None:
-            return self.grad(x)
-        return _numeric_gradient(self.fn, x)
+        if self.grad is None:
+            name = self.name or getattr(self.fn, "__qualname__", repr(self.fn))
+            raise ValueError(f"ScalarFn {name} has no grad; minimising over it needs one")
+        return self.grad(x)
 
 
 def quadratic_q() -> ScalarFn:
@@ -145,15 +110,28 @@ class ProxOptions:
     max_iter: int = 10_000
     damping: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
+
 
 # ---------------------------------------------------------------------------
 # Inf-convolution (Hopf-Lax)
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"inf-convolution time t must be finite and > 0, got {t}")
+
+
 def _golden_section(fn, x_lo, x_hi, iters=80):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, 1.0
-    seg = lambda t: _axpy(1.0 - t, x_lo, _scale(t, x_hi))
+    seg = lambda t: (1.0 - t) * x_lo + t * x_hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = fn(seg(c)), fn(seg(d))
     for _ in range(iters):
@@ -176,10 +154,14 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     gradient descent on psi with step a*t; psi is (1/t)-strongly convex, so
     (t/2)||grad psi||^2 bounds the value gap and serves as the stopping rule.
     """
-    if t <= 0:
-        raise ValueError("inf-convolution time must be positive")
+    _check_time(t)
+    inv_t = 1.0 / t
+
+    def psi(z):
+        d = x - z
+        return phi(z) + inner(d, d) / (2 * t)
+
     y = x
-    psi = lambda z: phi(z) + inner(_axpy(-1.0, z, x), _axpy(-1.0, z, x)) / (2 * t)
     f_y = psi(y)
     alpha = opts.damping
     stalls = 0
@@ -188,16 +170,16 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
         g_phi = phi.gradient(y)
         # grad psi = grad phi + (y - x)/t; the update with damping a is
         # gradient descent on psi with step a*t
-        g_psi = _axpy(1.0 / t, _axpy(-1.0, x, y), g_phi)
+        g_psi = inv_t * (y - x) + g_phi
         g_sq = inner(g_psi, g_psi)
         gap_bound = 0.5 * t * g_sq
         if gap_bound <= opts.tol:
             return y, f_y
-        target = _axpy(-t, g_phi, x)  # fixed-point image x - t grad phi(y)
+        target = x - t * g_phi  # fixed-point image x - t grad phi(y)
         accepted = False
         a = alpha
         while a > 1e-12:
-            y_new = _axpy(1.0 - a, y, _scale(a, target))
+            y_new = (1.0 - a) * y + a * target
             f_new = psi(y_new)
             # sufficient decrease keeps marginally-stable zigzags from crawling
             if f_new <= f_y - armijo * a * t * g_sq:
@@ -231,6 +213,7 @@ def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> Scalar
     phi_t is always 1/t-semiconcave; u-semiconcavity of phi improves this to
     1/(t + 1/u), and c-strong convexity of phi yields 1/(t + 1/c).
     """
+    _check_time(t)
     opts = opts or ProxOptions()
     u_inv = 0.0 if math.isinf(phi.semiconcavity) else 1.0 / phi.semiconcavity
     u_new = 1.0 / (t + u_inv)
@@ -242,7 +225,7 @@ def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> Scalar
     def grad(x):
         # grad phi_t(x) = (x - y*) / t with y* the prox point
         y_star, _ = _prox_argmin(phi, t, x, opts)
-        return _scale(1.0 / t, _axpy(-1.0, y_star, x))
+        return (1.0 / t) * (x - y_star)
 
     return ScalarFn(value, grad, strong_convexity=c_new, semiconcavity=u_new,
                     name=f"hopf_lax({phi.name or 'phi'}, {t})")
@@ -252,43 +235,46 @@ def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> Scalar
 # Legendre transform of strongly convex functions
 
 
-def legendre_strongly_convex(phi: ScalarFn, y, opts: ProxOptions | None = None) -> float:
-    """sup_x [<x,y> - phi(x)] via L(phi)(y) = ||y||^2/(2c) - (phi - c q)_{1/c}(y/c)."""
+def _legendre_constant(phi: ScalarFn) -> float:
     c = phi.strong_convexity
-    if c <= 0:
-        raise ValueError("legendre_strongly_convex requires a declared constant c > 0")
+    if not c > 0:
+        raise ValueError(f"the Legendre transform of {phi.name or 'phi'} requires a "
+                         f"declared strong-convexity constant c > 0, got {c}")
+    return c
+
+
+def _legendre_prox(phi: ScalarFn, y, opts: ProxOptions | None):
+    """(x*, v) for the prox of phi - c q at time 1/c and point y/c.
+
+    L(phi)(y) = ||y||^2/(2c) - v, and x* = grad L(phi)(y) is the maximiser.
+    """
+    c = _legendre_constant(phi)
     tilde = ScalarFn(
         fn=lambda z: phi(z) - 0.5 * c * inner(z, z),
-        grad=(lambda z: _axpy(-c, z, phi.gradient(z))) if phi.grad is not None else None,
-        strong_convexity=0.0,
+        grad=lambda z: phi.gradient(z) - c * z,
     )
     try:
-        val = inf_convolution(tilde, 1.0 / c, _scale(1.0 / c, y), opts)
+        return _prox_argmin(tilde, 1.0 / c, (1.0 / c) * y, opts or ProxOptions())
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"inner inf-convolution diverged; declared convexity constant c={c} "
             f"is likely invalid ({exc})"
         ) from exc
-    return inner(y, y) / (2 * c) - val
+
+
+def legendre_strongly_convex(phi: ScalarFn, y, opts: ProxOptions | None = None) -> float:
+    """sup_x [<x,y> - phi(x)] via L(phi)(y) = ||y||^2/(2c) - (phi - c q)_{1/c}(y/c)."""
+    _, val = _legendre_prox(phi, y, opts)
+    return inner(y, y) / (2 * phi.strong_convexity) - val
 
 
 def legendre_fn(phi: ScalarFn, opts: ProxOptions | None = None) -> ScalarFn:
     """The Legendre transform as a ScalarFn: convex and 1/c-semiconcave."""
-    c = phi.strong_convexity
-    inner_opts = opts or ProxOptions()
-
-    def value(y):
-        return legendre_strongly_convex(phi, y, inner_opts)
-
-    def grad(y):
-        tilde = ScalarFn(
-            fn=lambda z: phi(z) - 0.5 * c * inner(z, z),
-            grad=(lambda z: _axpy(-c, z, phi.gradient(z))) if phi.grad is not None else None,
-        )
-        x_star, _ = _prox_argmin(tilde, 1.0 / c, _scale(1.0 / c, y), inner_opts)
-        return x_star
-
-    return ScalarFn(value, grad, strong_convexity=0.0, semiconcavity=1.0 / c,
+    c = _legendre_constant(phi)
+    opts = opts or ProxOptions()
+    return ScalarFn(lambda y: legendre_strongly_convex(phi, y, opts),
+                    lambda y: _legendre_prox(phi, y, opts)[0],
+                    strong_convexity=0.0, semiconcavity=1.0 / c,
                     name=f"legendre({phi.name or 'phi'})")
 
 
@@ -335,15 +321,15 @@ def _interp_fn(phi: ScalarFn, s: float, t: float, opts: ProxOptions) -> ScalarFn
             return ScalarFn(phi.fn, phi.grad, phi.strong_convexity, phi.semiconcavity,
                             name=phi.name)
         fn = lambda x: 0.5 * (1 - t) * inner(x, x) + t * phi(x)
-        grad = (lambda x: _axpy(1 - t, x, _scale(t, phi.gradient(x)))) if phi.grad else None
+        grad = lambda x: (1 - t) * x + t * phi.gradient(x)
         c_new = (1 - t) + t * phi.strong_convexity
         u_new = (1 - t) + t * phi.semiconcavity
         return ScalarFn(fn, grad, c_new, u_new, name=f"interp(0,{t})")
 
     # generic 0 < s <= t (t possibly 1): quadratic + inf-convolution form
     scaled = ScalarFn(
-        fn=lambda z: (1 - s) * phi(_scale(1.0 / (1 - s), z)),
-        grad=(lambda z: phi.gradient(_scale(1.0 / (1 - s), z))) if phi.grad else None,
+        fn=lambda z: (1 - s) * phi((1.0 / (1 - s)) * z),
+        grad=lambda z: phi.gradient((1.0 / (1 - s)) * z),
         strong_convexity=phi.strong_convexity / (1 - s),
         semiconcavity=phi.semiconcavity / (1 - s),
     )
@@ -355,12 +341,11 @@ def _interp_fn(phi: ScalarFn, s: float, t: float, opts: ProxOptions) -> ScalarFn
 
     def grad(x):
         y_star, _ = _prox_argmin(scaled, s, x, opts)
-        hl_grad = _scale(1.0 / s, _axpy(-1.0, y_star, x))
-        return _axpy(quad_coeff, x, _scale(mix, hl_grad))
+        return quad_coeff * x + mix * ((1.0 / s) * (x - y_star))
 
     c_new = quad_coeff  # hopf-lax part is convex, quadratic part is exact
     u_new = t / s
-    return ScalarFn(fn, grad if phi.grad else None, c_new, u_new, name=f"interp({s},{t})")
+    return ScalarFn(fn, grad, c_new, u_new, name=f"interp({s},{t})")
 
 
 def interpolation_pair(
@@ -432,8 +417,8 @@ def _midpoint_check(f, curvature: float, sample_pairs, concave: bool) -> Convexi
     worst, worst_at = -math.inf, None
     count = 0
     for x, y, alpha in sample_pairs:
-        xa = _axpy(1.0 - alpha, x, _scale(alpha, y))
-        d = _axpy(-1.0, y, x)
+        xa = (1.0 - alpha) * x + alpha * y
+        d = x - y
         lhs = fn(xa)
         rhs = ((1 - alpha) * fn(x) + alpha * fn(y)
                - 0.5 * curvature * alpha * (1 - alpha) * inner(d, d))

@@ -425,11 +425,14 @@ class _EnvelopePotential:
     those of the scalar-tuple target a I; the absolute (rather than squared)
     form keeps the envelope gain O(eps) even in directions where moments move
     only quadratically, so the sup collapses to the target at rate eps.  The
-    value is a supremum of affine functions of y (hence exactly convex), and
-    its gradient is the inner maximizer plus t y (the envelope rule).  The
-    inner sup over the operator-norm ball of the given radius runs on
-    ``logic._ascend`` from the last maximizer.  Duck-types the sampler's
-    Potential interface.
+    exact sup is a supremum of affine functions of y, hence convex, and its
+    gradient is the inner maximizer plus t y (the envelope rule).  The value
+    computed here is a local ascent: the inner sup over the operator-norm
+    ball of the given radius runs on ``logic._ascend`` warm-started from the
+    last maximizer, so once that ascent moves the value depends on the query
+    history and can break convexity slightly (midpoint violations of a few
+    1e-3 at ``type_epsilon`` 0.2).  Duck-types the sampler's Potential
+    interface.
     """
 
     def __init__(self, target: np.ndarray, t: float, eps: float, radius: float,

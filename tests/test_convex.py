@@ -1,9 +1,12 @@
 """Inf-convolution, Legendre transform, interpolation pairs, curvature checks."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegeo import convex as cx
 from freegeo.matcore import MatrixTuple
@@ -15,7 +18,7 @@ def quad(c, a=0.0):
     """(c/2)||x||^2 + <a, x> with analytic gradient (scalar or vector backend)."""
     return cx.ScalarFn(
         fn=lambda x: 0.5 * c * cx.inner(x, x) + cx.inner(a, x),
-        grad=lambda x: cx._axpy(c, x, a),
+        grad=lambda x: c * x + a,
         strong_convexity=c,
         semiconcavity=c,
     )
@@ -90,6 +93,29 @@ def test_hopf_lax_curvature_facts():
     assert cx.check_strong_convexity(ft, 1 / (t + 1 / f.strong_convexity), triples).max_violation <= 1e-8
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cx.hopf_lax(cx.ScalarFn(abs, grad=np.sign), 0.0),
+    lambda: cx.hopf_lax(cx.quadratic_q(), math.nan),
+    lambda: cx.hopf_lax(cx.quadratic_q(), -1.0),
+    lambda: cx.inf_convolution(cx.quadratic_q(), math.inf, 0.7),
+    lambda: cx.inf_convolution(cx.quadratic_q(), math.nan, 0.7),
+], ids=["hopf-lax t=0", "hopf-lax t=nan", "hopf-lax t=-1", "inf-conv t=inf", "inf-conv t=nan"])
+def test_inf_convolution_rejects_bad_time(build):
+    # t = 0 used to divide by zero, t = inf returned q(x) instead of 0, t = nan returned nan
+    with pytest.raises(ValueError, match=r"time t must be finite and > 0, got (0\.0|nan|-1\.0|inf)"):
+        build()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tol", math.nan), ("tol", 0.0), ("tol", math.inf), ("max_iter", 0),
+    ("damping", 0.0), ("damping", -1.0), ("damping", 1.5),
+])
+def test_prox_options_reject_bad_values(key, value):
+    # a nan tol used to run max_iter steps; damping <= 0 fell back to golden section every step
+    with pytest.raises(ValueError, match=f"^{key} must .*got {value}$"):
+        cx.ProxOptions(**{key: value})
+
+
 def test_prox_divergence_reported():
     bad = cx.ScalarFn(lambda x: -2.0 * x * x, grad=lambda x: -4.0 * x)  # concave
     with pytest.raises(cx.ConvergenceError):
@@ -124,6 +150,22 @@ def test_legendre_tilted_quadratic():
 def test_legendre_requires_constant():
     with pytest.raises(ValueError):
         cx.legendre_strongly_convex(cx.ScalarFn(lambda x: abs(x)), 1.0)
+    # c = 0 used to divide by zero while legendre_fn built the transform
+    flat = cx.ScalarFn(lambda x: x * x, grad=lambda x: 2 * x, name="flat")
+    with pytest.raises(ValueError, match="flat requires .* c > 0, got 0.0"):
+        cx.legendre_fn(flat)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: cx.inf_convolution(f, 0.5, 1.0),
+    lambda f: cx.hopf_lax(f, 0.5)(1.0),
+    lambda f: cx.legendre_strongly_convex(f, 1.0),
+    lambda f: cx.interpolation_pair(f, cx.quadratic_q(), 0.3, 0.6).phi_st(1.0),
+], ids=["inf_convolution", "hopf_lax", "legendre", "interpolation"])
+def test_minimising_needs_a_gradient(call):
+    gradless = cx.ScalarFn(lambda x: x * x, strong_convexity=2.0, name="gradless")
+    with pytest.raises(ValueError, match="ScalarFn gradless has no grad"):
+        call(gradless)
 
 
 def test_fenchel_young_on_random_pairs():
@@ -296,3 +338,116 @@ def test_interpolation_four_conclusions_small():
         xs = (1 - s) * x0 + s * x1
         xt = (1 - t) * x0 + t * x1
         assert cx.duality_gap(pair.phi_st, pair.psi_st, xs, xt) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Golden pin: derived values and gradients on every point type
+
+
+def smooth_convex(a, b, k):
+    """(a/2)||x||^2 + <b, x> + k sqrt(1 + ||x||^2): a-strongly convex, (a + k)-semiconcave."""
+    return cx.ScalarFn(
+        fn=lambda x: 0.5 * a * cx.inner(x, x) + cx.inner(b, x)
+        + k * math.sqrt(1.0 + cx.inner(x, x)),
+        grad=lambda x: (a + k / math.sqrt(1.0 + cx.inner(x, x))) * x + b,
+        strong_convexity=a,
+        semiconcavity=a + k,
+        name="smooth",
+    )
+
+
+def pin_points():
+    """(x, y, b) of each point type: float, 2-vector, MatrixTuple with m = 2, n = 3."""
+    rng = np.random.default_rng(808)
+
+    def tup():
+        return MatrixTuple(rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3)))
+
+    return [
+        (0.7, -1.1, 0.3),
+        (np.array([0.7, -1.2]), np.array([-0.4, 0.9]), np.array([0.3, -0.5])),
+        (tup(), tup(), 0.3 * tup()),
+    ]
+
+
+def pin_bytes(value):
+    arr = np.asarray(value.entries if isinstance(value, MatrixTuple) else value)
+    return arr.dtype.str.encode() + arr.tobytes()
+
+
+def pin_digest():
+    """SHA-256 over the bytes of every value, gradient and checker report below."""
+    digest = hashlib.sha256()
+    for x, y, b in pin_points():
+        phi = smooth_convex(1.3, b, 0.4)
+        psi = cx.legendre_fn(phi)
+        ft = cx.hopf_lax(phi, 0.6)
+        out = [ft(x), ft.gradient(x), psi(y), psi.gradient(y),
+               cx.legendre_strongly_convex(phi, x)]
+        for s, t in ((0.0, 0.4), (0.3, 0.8)):
+            pair = cx.interpolation_pair(phi, psi, s, t)
+            out += [pair.phi_st(x), pair.phi_st.gradient(x),
+                    pair.psi_st(y), pair.psi_st.gradient(y),
+                    cx.duality_gap(pair.phi_st, pair.psi_st, x, y)]
+        triples = [(x, y, 0.25), (y, x, 0.6)]
+        for rep in (cx.check_strong_convexity(ft, 1 / (0.6 + 1 / 1.3), triples),
+                    cx.check_semiconcavity(ft, 1 / 0.6, triples),
+                    cx.check_strong_convexity(pair.phi_st, 0.2 / 0.7, triples),
+                    cx.check_semiconcavity(pair.psi_st, 0.7 / 0.2, triples)):
+            out += [rep.max_violation, float(rep.n_checked)]
+        for v in out:
+            digest.update(pin_bytes(v))
+    return digest.hexdigest()
+
+
+def test_golden_pin_derived_functions():
+    # recorded before the convex module was rewritten over the vector-space operators
+    assert pin_digest() == "d44a226b7cd0f8f6ee4cba5d84a48036efd2f6ef1d3a8addedbf7f4331cb2110"
+
+
+# ---------------------------------------------------------------------------
+# Derived gradients against central differences of their own values
+
+
+@st.composite
+def point_and_direction(draw):
+    """(x, unit direction d, tilt b) as floats or as a MatrixTuple with m = 2, n = 2."""
+    if draw(st.booleans()):
+        return draw(st.floats(-2.0, 2.0)), 1.0, draw(st.floats(-1.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def tup():
+        return MatrixTuple(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+
+    x, d, b = tup(), tup(), 0.5 * tup()
+    return x, (1.0 / cx.vnorm(d)) * d, b
+
+
+def assert_gradient_matches_values(f, x, d, h=1e-4):
+    # a prox stops once its gradient norm is below sqrt(2 tol / t), which bounds
+    # the error of every derived gradient here by sqrt(2e-12 / 0.05) < 1e-5
+    slope = (f(x + h * d) - f(x - h * d)) / (2 * h)
+    g = f.gradient(x)
+    assert cx.inner(g, d) == pytest.approx(slope, abs=1e-5 * (1.0 + cx.vnorm(g)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_and_direction(), st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(0.2, 2.0))
+def test_hopf_lax_and_legendre_gradients(pdb, a, k, t):
+    x, d, b = pdb
+    phi = smooth_convex(a, b, k)
+    assert_gradient_matches_values(cx.hopf_lax(phi, t), x, d)
+    assert_gradient_matches_values(cx.legendre_fn(phi), x, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_and_direction(),
+       st.sampled_from([(0.0, 0.4), (0.0, 1.0), (0.3, 0.3), (0.3, 1.0)])
+       | st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(sorted))
+def test_interpolation_pair_gradients(pdb, times):
+    x, d, b = pdb
+    s, t = times
+    pair = cx.interpolation_pair(smooth_convex(1.3, b, 0.4), smooth_convex(0.7, -1.0 * b, 0.2),
+                                 s, t)
+    assert_gradient_matches_values(pair.phi_st, x, d)
+    assert_gradient_matches_values(pair.psi_st, x, d)
