@@ -1,17 +1,19 @@
 """Gibbs random-matrix ensembles: density proportional to exp(-n^2 phi(X)).
 
 Potentials are strongly convex scalar functions of a MatrixTuple.  A trace
-polynomial's value and its cyclic-derivative gradient come from one pass of
-``logic.trace_pass`` over each slot word: shared prefix and suffix products,
-with identity factors skipped, and the value read off as tr_n of the last
-prefix product.  Sampling is Metropolis-adjusted Langevin in the tr_n metric
-on raw (m, n, n) arrays, one value-and-gradient call per proposal, with step
-adaptation during burn-in only, so the recorded chain satisfies detailed
-balance.
+polynomial's value and its cyclic-derivative gradient come from one call of
+``logic.trace_pass``, which follows a plan compiled once per set of slot
+words: duplicate words merged, each distinct product built once (the
+quadratic needs none, the quartic two), and each word's value read as an
+O(n^2) contraction of a product the gradient also uses.  Sampling is
+Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, one
+value-and-gradient call per proposal, with step adaptation during burn-in
+only, so the recorded chain satisfies detailed balance.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -58,9 +60,20 @@ class Potential:
 
     def __init__(self, terms: list[tuple[complex, tuple[tuple[int, bool], ...]]],
                  c: float, name: str = ""):
-        if c <= 0:
-            raise ValueError("strong-convexity constant c must be positive")
-        self.terms = [(complex(coef), tuple(word)) for coef, word in terms if coef != 0]
+        if not 0 < c < math.inf:
+            raise ValueError(f"strong-convexity constant c must be finite and positive, got {c}")
+        kept = []
+        for coef, word in terms:
+            coef = complex(coef)
+            if not cmath.isfinite(coef):
+                raise ValueError(f"coefficient {coef} of word {word} is not finite")
+            for j, _ in word:
+                if j < 0:
+                    raise ValueError(f"slot {j} in word {word} is negative")
+            if coef != 0:
+                kept.append((coef, tuple((j, bool(star)) for j, star in word)))
+        # immutable, like the words that key the plan cache of trace_pass
+        self.terms = tuple(kept)
         self.c = float(c)
         self.name = name
 
@@ -334,7 +347,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     proposed_total = 0
 
     def sq_norm(d):
-        return float(np.real(np.einsum("jab,jab->", np.conj(d), d)) / n)
+        return np.vdot(d, d).real / n
 
     def mala_step(x, v_x, g_x, tau):
         noise = _std_noise(rng, n, m)

@@ -63,6 +63,9 @@ def run_counterexample(cfg: RunConfig) -> Report:
     n = k * l
     if n > 256:
         raise ValueError("counterexample supports n = k*l <= 256")
+    if samples > 65535:
+        raise ValueError(f"counterexample supports samples <= 65535 (one derived seed "
+                         f"stream each), got {samples}")
     seed = Seed(cfg["seed"])
     report = Report("counterexample", cfg)
 

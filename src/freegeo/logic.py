@@ -6,7 +6,10 @@ connectives.  Syntax: adjoint is a postfix prime (``x1'``), products inside
 ``tr(...)`` use an explicit ``*``, quantifiers read ``sup{y:1.0} body``.
 
 Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
-``trace_pass``, evaluates every trace polynomial from such words.
+``trace_pass``, evaluates every trace polynomial from such words, following
+a plan it compiles once per set of words: duplicate words merged, each
+distinct matrix product built once, adjoints read as conjugate transposes
+and values as O(n^2) contractions.
 
 Quantified values are computed by projected multistart gradient search over
 the ball, with the analytic gradient (cyclic derivative plus envelope rule):
@@ -26,6 +29,7 @@ import functools
 import math
 import re as _re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,58 +256,192 @@ def compile_poly(poly: NcPolynomial, bound: dict[str, int] | None = None,
             for w, coef in poly.terms.items()]
 
 
-def _times(b, a):
-    """b @ a, where None stands for the identity."""
-    if b is None:
-        return a
-    if a is None:
-        return b
-    return b @ a
+def _adjoint(word):
+    """The slot word of w^*: letters reversed, stars flipped."""
+    return tuple((j, not star) for j, star in reversed(word))
 
 
-def _or_eye(mat, n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128) if mat is None else mat
+class _TracePlan(NamedTuple):
+    """How ``trace_pass`` evaluates one tuple of slot words; see ``_trace_plan``."""
+
+    merge: tuple[int, ...]  # term i adds its coefficient to distinct word merge[i]
+    slots: tuple[int, ...]  # mats[k] = entries[slots[k]] for k < len(slots)
+    steps: tuple  # (a, b, into): mats[a] @ mats[b] (mats[a]^H if b is None), in mats[into]'s array
+    reads: tuple[tuple[int, bool, int, int], ...]  # (form, conj, a, b) per distinct word
+    grads: tuple | None  # per gradient slot: ((a, adjoint, coefs, in_place), ...), identity coefs
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_plan(words: tuple, grad_slots: tuple | None) -> _TracePlan:
+    """The products ``trace_pass`` builds for these slot words and how it reads them.
+
+    Identical words merge.  A word's value tr(w) = tr(P a) needs the product
+    of its prefix P = w[:-1], and its gradient the product of the cyclic
+    remainder of each letter in a gradient slot; the last letter's remainder
+    is P itself, so the value needs no product the gradient lacks.  A matrix
+    is built once, as the product of a built prefix and a letter, and a word
+    whose adjoint is built is read as that product's conjugate transpose.
+    Longer words are built first, so that shorter ones find their prefixes.
+
+    A read (form, conj, a, b) is tr of mats[a] (form 1), np.vdot(mats[a],
+    mats[b]) = tr(mats[a]^H mats[b]) (form 2), tr(mats[a] mats[b]) (form 3)
+    or 1 (form 0), conjugated if ``conj``.  The gradient in a slot is the sum
+    over its (matrix, adjoint) groups of the group's summed coefficients
+    times the matrix or its adjoint, plus its identity coefficients on the
+    diagonal; a coefficient is (word, conj).
+    """
+    index: dict = {}
+    merge = tuple(index.setdefault(w, len(index)) for w in words)
+    slots = tuple(sorted({j for w in index for j, _ in w}))
+    table = {((j, False),): k for k, j in enumerate(slots)}  # word -> index in mats
+    steps: list = []
+
+    def build(w) -> int:
+        if w not in table:
+            if len(w) == 1:  # a starred letter as a matmul operand
+                steps.append((table[_adjoint(w)], None))
+            else:
+                steps.append((build(w[:-1]), build(w[-1:])))
+            table[w] = len(slots) + len(steps) - 1
+        return table[w]
+
+    def prefix_len(w) -> int:  # length of the longest prefix of w already built
+        k = len(w)
+        while k > 1 and w[:k] not in table:
+            k -= 1
+        return k
+
+    def ref(w, lean=False) -> tuple[int, bool]:  # (a, adjoint): w(X) = mats[a] or its adjoint
+        if len(w) == 1:
+            return table[((w[0][0], False),)], w[0][1]
+        adj = _adjoint(w)
+        if w in table or adj in table:
+            return (table[w], False) if w in table else (table[adj], True)
+        if prefix_len(adj) - prefix_len(w) + lean > 0:  # ties go to ``lean``
+            return build(adj), True
+        return build(w), False
+
+    # values first, so that their bits do not depend on grad_slots; a prefix
+    # leans to the orientation the last letter's gradient reads directly
+    for w in sorted(dict.fromkeys(w for w in index if len(w) > 1), key=len, reverse=True):
+        ref(w[:-1], not w[-1][1])
+    # gradient: the letter at p of coef * w contributes coef M(r) with
+    # r = w[p+1:] + w[:p] when starred, conj(coef) M(r)^H = conj(coef) M(r^*) when not
+    contribs = []
+    if grad_slots is not None:
+        pos = {j: s for s, j in enumerate(grad_slots)}
+        for u, w in enumerate(index):
+            for p, (j, star) in enumerate(w):
+                if j in pos:
+                    r = w[p + 1:] + w[:p]
+                    contribs.append((pos[j], r if star else _adjoint(r), (u, not star)))
+    for g in sorted(dict.fromkeys(g for _, g, _ in contribs if g), key=len, reverse=True):
+        ref(g)
+
+    reads = []
+    for w in index:
+        if not w:
+            reads.append((0, False, 0, 0))
+            continue
+        if len(w) == 1:
+            a, star = ref(w)
+            reads.append((1, star, a, 0))
+            continue
+        (a, p_adj), (b, last_adj) = ref(w[:-1]), ref(w[-1:])
+        if p_adj == last_adj:  # tr(P a) or tr(P^H a^H) = conj tr(a P)
+            reads.append((3, p_adj, a, b))
+        else:  # tr(P^H a) = vdot(P, a), tr(P a^H) = vdot(a, P)
+            reads.append((2, False, b, a) if last_adj else (2, False, a, b))
+
+    groups: list = [{} for _ in grad_slots or ()]
+    eyes: list = [[] for _ in grad_slots or ()]
+    for s, g, coef in contribs:
+        (groups[s].setdefault(ref(g), []) if g else eyes[s]).append(coef)
+    # a product that no later group reads is scaled in place: no temporary
+    last_group = {a: (s, k) for s, gr in enumerate(groups) for k, (a, _) in enumerate(gr)}
+    grads = None if grad_slots is None else tuple(
+        (tuple((a, adj, tuple(cs), a >= len(slots) and last_group[a] == (s, k))
+               for k, ((a, adj), cs) in enumerate(gr.items())), tuple(eye))
+        for s, (gr, eye) in enumerate(zip(groups, eyes)))
+
+    # a step writes into the array of a product or conjugated letter that no
+    # later step, read or gradient needs: fewer fresh arrays, fewer page faults
+    kept = {k for read in reads for k in read[2:]} | {a for gr in groups for a, _ in gr}
+    last_step = {k: t for t, step in enumerate(steps) for k in step}
+    free: list = []
+    for t, (a, b) in enumerate(steps):
+        steps[t] = (a, b, free.pop() if free else None)
+        free += [k for k in dict.fromkeys((a, b)) if k is not None and k >= len(slots)
+                 and last_step[k] == t and k not in kept]
+    return _TracePlan(merge, slots, tuple(steps), tuple(reads), grads)
+
+
+def _sum_coefs(coefs, spec):
+    total = 0j
+    for u, conj in spec:
+        total += coefs[u].conjugate() if conj else coefs[u]
+    return total
 
 
 def trace_pass(terms, entries, grad_slots=None):
-    """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None), one pass per term.
+    """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None).
 
     ``entries[j]`` is the matrix in slot j, an (m, n, n) array or a list;
     only the slots that occur in the words are read.  The gradient is taken
     with respect to the slots in ``grad_slots``, stacked in that order as a
     (len(grad_slots), n, n) array; letters in other slots, and words with
-    none of these slots, add nothing to it.  prefixes[p] is the product of
-    the first p letters, suffixes[p] that of the letters from p on; None
-    stands for the identity, which is never multiplied.  An occurrence of
-    x_j with prefix A and suffix B adds (coef B A)^* to slot j of the
-    gradient, one of x_j^* adds coef B A.
+    none of these slots, add nothing to it.  An occurrence of x_j with
+    cyclic remainder r (the letters after it, then those before it) adds
+    (coef r)^* to slot j of the gradient, one of x_j^* adds coef r.
+
+    The work follows the plan ``_trace_plan`` compiles once per (words,
+    grad_slots), whatever the coefficients: identical words merge, each
+    distinct product is one matmul, adjoints are read as conjugate
+    transposes, each value is an O(n^2) contraction of a product the
+    gradient also uses with the word's last letter, and gradient
+    contributions are summed per (slot, product) before they are scaled.
     """
+    plan = _trace_plan(tuple([w for _, w in terms]),
+                       None if grad_slots is None else tuple(grad_slots))
     n = entries[0].shape[0]
+    coefs = [0j] * len(plan.reads)
+    for (coef, _), u in zip(terms, plan.merge):
+        coefs[u] += coef
+    mats = [entries[j] for j in plan.slots]
+    for a, b, into in plan.steps:
+        out = None
+        if into is not None:  # a conjugated letter is kept as the transpose of its array
+            out = mats[into] if mats[into].flags.c_contiguous else mats[into].T
+        mats.append(np.conjugate(mats[a], out=out).T if b is None
+                    else np.matmul(mats[a], mats[b], out=out))
     total = 0.0
-    grad = None
-    if grad_slots is not None:
-        pos = {j: i for i, j in enumerate(grad_slots)}
-        grad = np.zeros((len(pos), n, n), dtype=np.complex128)
-    for coef, word in terms:
-        mats = [entries[j].conj().T if star else entries[j] for j, star in word]
-        prefixes = [None]
-        for a in mats:
-            prefixes.append(_times(prefixes[-1], a))
-        total += coef * np.trace(_or_eye(prefixes[-1], n)) / n
-        if grad is None:
-            continue
-        k = len(word)
-        suffixes = [None] * (k + 1)
-        for i in range(k - 1, 0, -1):
-            suffixes[i] = _times(mats[i], suffixes[i + 1])
-        for p, (j, star) in enumerate(word):
-            if j not in pos:
-                continue
-            ba = _or_eye(_times(suffixes[p + 1], prefixes[p]), n)
-            if star:
-                grad[pos[j]] += coef * ba
-            else:
-                grad[pos[j]] += np.conj(coef) * ba.conj().T
+    for coef, (form, conj, a, b) in zip(coefs, plan.reads):
+        if form == 0:
+            tr = n
+        elif form == 1:
+            tr = mats[a].trace()
+        elif form == 2:
+            tr = np.vdot(mats[a], mats[b])
+        else:
+            tr = np.einsum("ij,ji->", mats[a], mats[b])
+        total += coef * (tr.conjugate() if conj else tr) / n
+    if plan.grads is None:
+        return total, None
+    grad = np.empty((len(plan.grads), n, n), dtype=np.complex128)
+    for out, (groups, eye) in zip(grad, plan.grads):
+        if not groups:
+            out.fill(0)
+        for k, (a, adj, spec, in_place) in enumerate(groups):
+            coef = _sum_coefs(coefs, spec)
+            # coef M^H = conj(conj(coef) M^T): no conjugate copy of the product
+            mat, coef = (mats[a].T, coef.conjugate()) if adj else (mats[a], coef)
+            part = np.multiply(mat, coef, out=out if k == 0 else mat if in_place else None)
+            if adj:
+                np.conjugate(part, out=part)
+            if k:
+                out += part
+        if eye:
+            out.reshape(-1)[:: n + 1] += _sum_coefs(coefs, eye)
     return total, grad
 
 

@@ -55,7 +55,17 @@ class Seed:
         return np.random.Generator(np.random.Philox(seed=ss))
 
     def derive(self, offset: int) -> "Seed":
-        """Child seed for a sub-stream (chains, quantifier nodes, ladder nodes)."""
+        """Child seed for a sub-stream (chains, quantifier nodes, ladder nodes).
+
+        Offsets 0 <= offset < 65535 keep the children of stream s inside
+        s * 65536 + [1, 65535], apart from those of every other stream; a
+        negative offset can return the parent itself and a larger one another
+        stream's child, so both raise.
+        """
+        if not 0 <= offset < 65535:
+            raise ValueError(f"Seed.derive offset must be in [0, 65535), got {offset}: "
+                             "a seed has at most 65535 derived streams (one per "
+                             "counterexample sample, TI node, chain or quantifier)")
         return Seed(self.master_seed, self.stream_id * 65536 + 1 + offset)
 
 

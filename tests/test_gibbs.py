@@ -79,16 +79,34 @@ def test_gradient_matches_finite_differences(builder):
     assert_gradient_matches_fd(pot, x.entries)
 
 
-potential_terms = st.lists(
-    st.tuples(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-              st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=4).map(tuple)),
-    min_size=1, max_size=4)
+coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def related_terms(draw, slots):
+    """(coef, slot word) terms over slots 0 .. slots-1, and then terms whose words
+    repeat one of them: a duplicate, a cyclic rotation, the adjoint or the empty word."""
+    words = st.lists(st.tuples(st.integers(0, slots - 1), st.booleans()), max_size=4)
+    terms = draw(st.lists(st.tuples(coefficients, words.map(tuple)), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 4))):
+        word = draw(st.sampled_from(terms))[1]
+        kind = draw(st.sampled_from(["duplicate", "rotation", "adjoint", "empty"]))
+        if kind == "rotation" and word:
+            k = draw(st.integers(1, len(word)))
+            word = word[k:] + word[:k]
+        elif kind == "adjoint":
+            word = tuple((j, not star) for j, star in reversed(word))
+        elif kind == "empty":
+            word = ()
+        terms.append((draw(coefficients), word))
+    return terms
 
 
 @settings(max_examples=40, deadline=None)
-@given(terms=potential_terms, n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@given(terms=related_terms(2), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_value_and_gradient_match_central_differences(terms, n, seed):
-    # random words: starred letters, length-1 words (tilts) and the empty word
+    # random words: starred letters, length-1 words (tilts), the empty word, and
+    # words that share products: duplicates, cyclic rotations and adjoint pairs
     pot = gibbs.Potential(terms, c=1.0)
     rng = np.random.default_rng(seed)
     x = 0.5 * (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n)))
@@ -97,6 +115,60 @@ def test_value_and_gradient_match_central_differences(terms, n, seed):
     assert pot.value(tup) == value
     assert pot.gradient(tup).entries.tobytes() == grad.tobytes()
     assert_gradient_matches_fd(pot, x)
+
+
+@pytest.mark.parametrize("terms,c,message", [
+    ([], math.nan, "c must be finite and positive, got nan"),
+    ([], math.inf, "c must be finite and positive, got inf"),
+    ([], 0.0, "c must be finite and positive, got 0.0"),
+    ([(math.inf, ((0, False),))], 1.0,
+     r"coefficient \(inf\+0j\) of word \(\(0, False\),\) is not finite"),
+    ([(complex(0.5, math.nan), ((0, False),))], 1.0, "coefficient .*nan.* is not finite"),
+    ([(0.5, ((0, True), (-1, False)))], 1.0, r"slot -1 in word .* is negative"),
+])
+def test_potential_rejects_bad_terms(terms, c, message):
+    # nan <= 0 is False, so a nan c used to pass; slot -1 read the last matrix
+    with pytest.raises(ValueError, match=message):
+        gibbs.Potential(terms, c)
+
+
+def matmuls(pot, grad_slots):
+    plan = logic._trace_plan(tuple(w for _, w in pot.terms), grad_slots)
+    return sum(b is not None for _, b, _ in plan.steps)
+
+
+def test_plan_builds_each_product_once():
+    # tr(x^* x) is vdot(x, x) and its gradient is x itself: no product; the
+    # quartic tr((x^* x)^2) builds x x^* x once, for its value and all four
+    # gradient terms; the plan does not depend on the gradient slots
+    q = gibbs.Potential.quadratic(1.0, 2)
+    for grad_slots in (None, (0, 1), (1,)):
+        assert matmuls(q, grad_slots) == 0
+        assert matmuls(q.with_quartic(0.1, slots=[0]), grad_slots) == 2
+        assert matmuls(q.with_quartic(0.1), grad_slots) == 4
+
+
+def test_plan_merges_duplicate_words():
+    # a TI mix of q with itself carries each word twice and evaluates it once
+    q = gibbs.Potential.quadratic(1.0, 2)
+    mix = entropy._mix_potential(q, q, 0.3)
+    plan = logic._trace_plan(tuple(w for _, w in mix.terms), (0, 1))
+    assert len(mix.terms) == 4
+    assert len(plan.reads) == 2
+    assert all(len(groups) == 1 for groups, _ in plan.grads)
+
+
+def test_plan_cache_is_keyed_by_words_not_coefficients():
+    pot = gibbs.Potential.quadratic(1.0, 2).with_quartic(0.1)
+    x = random_tuple(3, 2, np.random.default_rng(12)).entries
+    pot.value_and_gradient(x)
+    before = logic._trace_plan.cache_info()
+    value, grad = logic.trace_pass([(2.5 * c, w) for c, w in pot.terms], x, range(2))
+    after = logic._trace_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    ref_value, ref_grad = pot.value_and_gradient(x)
+    assert value.real == pytest.approx(2.5 * ref_value, rel=1e-12)
+    assert np.allclose(grad, 2.5 * ref_grad, rtol=1e-12, atol=0)
 
 
 def test_from_formula_roundtrip():
@@ -178,8 +250,8 @@ GOLDEN_SAMPLES = {
     ("quadratic", 8): "70dc9dedfea3462906e732c517dda237cf8bdf777610f6abc5e9d918fdd920b7",
     ("tilt", 4): "384ad1d4afc5ef96184a839b268b6b5e4a254ab92157f6afe7ace988bb0859e8",
     ("tilt", 8): "aee78017af8626374f270e7912d90fa95dcd1703d162bb968b7c451f1b19aee6",
-    ("quartic+tilt", 4): "afffca96f261b818f8381d81bfb3eb2754fb87b42731ace833778d0324d344de",
-    ("quartic+tilt", 8): "454a17fb632f3236ce1c741005e42b8555a01d4901e438283b4b180f8e959c3b",
+    ("quartic+tilt", 4): "df48b1e86ee104c95aa6d6a8f8a098c40caec58f4dca3992438810d2f629bf97",
+    ("quartic+tilt", 8): "03f5663b94aaf0acdd5dc057dcf01274c9a6edcc16f6304bba0a8966658c50d0",
 }
 
 

@@ -96,6 +96,16 @@ def test_reports_reproducible_bit_for_bit():
     assert json.dumps(a.to_json(), default=float) == json.dumps(b.to_json(), default=float)
 
 
+def test_counterexample_rejects_more_samples_than_seed_streams(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(ex, "_counterexample_draw", no_draws)
+    cfg = RunConfig.from_dict("counterexample", {"samples": 65536, "k": 4, "l": 4})
+    with pytest.raises(ValueError, match="samples <= 65535"):
+        ex.run_counterexample(cfg)
+
+
 def test_bound_metrics_print_slack():
     cfg = RunConfig.from_dict("counterexample", {"samples": 4, "k": 4, "l": 4})
     rep = ex.run_counterexample(cfg)

@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freegeo import logic, matcore as mc
 from freegeo.logic import EvalOptions, NcPolynomial, parse, print_formula
-from test_gibbs import fd_gradient
+from test_gibbs import fd_gradient, related_terms
 
 RNG = np.random.default_rng(555)
 
@@ -275,6 +275,40 @@ def test_trace_pass_matches_polynomial_evaluation(poly, n, seed):
     scale = 1.0 + sum(abs(c) * np.prod([np.linalg.norm(env[name]) for name, _ in w])
                       for w, c in poly.terms.items())
     assert abs(value - ref) <= 1e-12 * scale
+
+
+# subsets of the slots 0, 1, 2 in any order, as the gradient's stacking order
+grad_slot_orders = st.permutations(range(3)).flatmap(
+    lambda order: st.integers(1, 3).map(lambda k: tuple(order[:k])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=related_terms(3), grad_slots=grad_slot_orders, n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+# the product x2 x1 enters the gradient of x1 (as a later term) and of x3: the
+# first of the two must not scale the shared product in place
+@example(terms=[(1.0, ((1, False), (1, False))), (0.5j, ((0, True), (1, True), (0, False))),
+                (-0.7, ((2, False), (0, True), (1, True)))], grad_slots=(0, 1, 2), n=2, seed=3)
+def test_trace_pass_plan_matches_references(terms, grad_slots, n, seed):
+    # merged duplicates, rotations and adjoints that share products, the empty
+    # word, and a gradient stacked in a permuted subset of the slots
+    rng = np.random.default_rng(seed)
+    mats = 0.5 * (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)))
+
+    def reference(entries):
+        env = {f"x{j + 1}": entries[j] for j in range(3)}
+        poly = NcPolynomial()
+        for coef, word in terms:
+            poly = poly + NcPolynomial({tuple((f"x{j + 1}", star) for j, star in word): coef})
+        return np.trace(poly.evaluate(env, n)) / n
+
+    value, grad = logic.trace_pass(terms, mats, grad_slots)
+    assert logic.trace_pass(terms, mats)[0] == value  # the same bits without a gradient
+    scale = 1.0 + sum(abs(c) * np.prod([np.linalg.norm(mats[j]) for j, _ in w]) for c, w in terms)
+    assert abs(value - reference(mats)) <= 1e-12 * scale
+    fd = fd_gradient(lambda e: reference(e).real, mats)[list(grad_slots)]
+    assert grad.shape == (len(grad_slots), n, n)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

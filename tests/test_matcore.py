@@ -199,3 +199,17 @@ def test_seed_stream_reproducibility():
     r1 = mc.Seed(42, 3).rng().standard_normal(5)
     r2 = mc.Seed(42, 3).rng().standard_normal(5)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("offset", [-1, 65535, 65536])
+def test_seed_derive_rejects_colliding_offsets(offset):
+    # derive(-1) was the parent stream itself, Seed(5, 0).derive(65536) was
+    # Seed(5, 1).derive(0), and derive(65535) the stream 65536 next to both
+    with pytest.raises(ValueError, match=r"offset must be in \[0, 65535\), got "):
+        mc.Seed(5, 0).derive(offset)
+
+
+def test_seed_derive_keeps_children_apart():
+    first, last = mc.Seed(5, 0).derive(0), mc.Seed(5, 0).derive(65534)
+    assert (first.stream_id, last.stream_id) == (1, 65535)
+    assert mc.Seed(5, 1).derive(0).stream_id == 65537
