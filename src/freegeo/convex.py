@@ -4,8 +4,8 @@ transforms, displacement interpolation pairs, and curvature checkers.
 Points are floats, real numpy vectors or MatrixTuples.  Every routine works
 with the ``+``, ``-`` and scalar ``*`` that all three implement; ``inner`` is
 the one function that looks at a point's type (on MatrixTuples it is the real
-part of the tr_n inner product).  Inner minimizations use a damped proximal
-fixed-point iteration with a golden-section fallback, stopping when the
+part of the tr_n inner product).  Inner minimizations are gradient descent
+with Barzilai-Borwein steps and a golden-section fallback, stopping when the
 strong-convexity certificate bounds the value error by the tolerance; they
 take the analytic ``grad`` of the function minimised over.
 """
@@ -13,6 +13,7 @@ take the analytic ``grad`` of the function minimised over.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,7 +57,7 @@ class AdmissibilityError(ValueError):
 def inner(x, y) -> float:
     if isinstance(x, MatrixTuple):
         return real_inner(x, y)
-    if np.isscalar(x) or isinstance(x, (int, float)):
+    if np.isscalar(x):
         return float(x) * float(y)
     return float(np.dot(np.ravel(x), np.ravel(y)))
 
@@ -106,6 +107,14 @@ def quadratic_q() -> ScalarFn:
 
 @dataclass(frozen=True)
 class ProxOptions:
+    """Settings of the inner prox solve.
+
+    ``damping`` is the trial step, as a fraction of t, of the first step, of
+    the first step after a golden-section fallback and of any step where the
+    last two accepted points show no positive curvature; every other trial is
+    the Barzilai-Borwein step.
+    """
+
     tol: float = 1e-12  # value-accuracy target for the inner infimum
     max_iter: int = 10_000
     damping: float = 0.5
@@ -150,9 +159,17 @@ def _golden_section(fn, x_lo, x_hi, iters=80):
 def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     """Minimize psi(y) = phi(y) + ||x-y||^2/(2t); returns (y*, psi(y*)).
 
-    Uses the damped fixed point y <- (1-a) y + a (x - t grad phi(y)), which is
-    gradient descent on psi with step a*t; psi is (1/t)-strongly convex, so
-    (t/2)||grad psi||^2 bounds the value gap and serves as the stopping rule.
+    Each step is y <- (1-a) y + a (x - t grad phi(y)), gradient descent on psi
+    with step a*t.  The trial a is the Barzilai-Borwein step
+    <s, s> / (t <s, r>) of the last two accepted points (s the change in y, r
+    the change in grad psi), clamped to 1; it is opts.damping on the first
+    step, after a golden-section fallback and when <s, r> <= 0.  The trial is
+    halved until it decreases psi sufficiently below the largest of the last
+    10 accepted values (the nonmonotone Armijo test of Grippo, Lampariello and
+    Lucidi that Raydan pairs with these steps; against the last value alone,
+    long steps along a flat direction are refused while a steep one is off its
+    minimum).  psi is (1/t)-strongly convex, so (t/2)||grad psi||^2 bounds the
+    value gap and serves as the stopping rule.
     """
     _check_time(t)
     inv_t = 1.0 / t
@@ -163,32 +180,37 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
 
     y = x
     f_y = psi(y)
-    alpha = opts.damping
+    y_prev = g_prev = None
+    recent = deque([f_y], maxlen=10)
     stalls = 0
     armijo = 0.1
     for _ in range(opts.max_iter):
         g_phi = phi.gradient(y)
-        # grad psi = grad phi + (y - x)/t; the update with damping a is
-        # gradient descent on psi with step a*t
         g_psi = inv_t * (y - x) + g_phi
         g_sq = inner(g_psi, g_psi)
         gap_bound = 0.5 * t * g_sq
         if gap_bound <= opts.tol:
             return y, f_y
+        a = opts.damping
+        if y_prev is not None:
+            s = y - y_prev
+            sr = inner(s, g_psi - g_prev)
+            if sr > 0.0:
+                a = min(1.0, inner(s, s) / (t * sr))
         target = x - t * g_phi  # fixed-point image x - t grad phi(y)
         accepted = False
-        a = alpha
         while a > 1e-12:
             y_new = (1.0 - a) * y + a * target
             f_new = psi(y_new)
-            # sufficient decrease keeps marginally-stable zigzags from crawling
-            if f_new <= f_y - armijo * a * t * g_sq:
+            if f_new <= max(recent) - armijo * a * t * g_sq:
+                y_prev, g_prev = y, g_psi
                 y, f_y = y_new, f_new
-                alpha = min(opts.damping, a * 1.3)
+                recent.append(f_y)
                 accepted = True
                 break
             a *= 0.5
         if not accepted:
+            y_prev = None
             stalls += 1
             y_gs = _golden_section(psi, y, target)
             f_gs = psi(y_gs)
@@ -196,6 +218,7 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
                 y, f_y = y_gs, f_gs
             elif stalls > 2:
                 return y, f_y
+            recent = deque([f_y], maxlen=10)
     raise ConvergenceError(
         f"proximal iteration did not reach tol={opts.tol} in {opts.max_iter} steps"
     )
