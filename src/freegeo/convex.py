@@ -2,16 +2,27 @@
 transforms, displacement interpolation pairs, and curvature checkers.
 
 Points are floats, real numpy vectors or MatrixTuples.  Every routine works
-with the ``+``, ``-`` and scalar ``*`` that all three implement; ``inner`` is
-the one function that looks at a point's type (on MatrixTuples it is the real
-part of the tr_n inner product).  Inner minimizations are gradient descent
-with Barzilai-Borwein steps and a golden-section fallback, stopping when the
-strong-convexity certificate bounds the value error by the tolerance; they
-take the analytic ``grad`` of the function minimised over.
+with the ``+``, ``-`` and scalar ``*`` that all three implement; ``inner`` (on
+MatrixTuples the real part of the tr_n inner product) and the memo key
+``_point_key`` are the two functions that look at a point's type.  Inner
+minimizations are gradient descent with Barzilai-Borwein steps, stopping when
+the strong-convexity certificate bounds the value error by the tolerance, or
+raising ConvergenceError; they take the analytic ``grad`` of the function
+minimised over.
+
+The derived functions ``hopf_lax``, ``legendre_fn`` and the generic branch of
+the interpolation pair solve one prox per point for their value and gradient
+together, and remember the last _MEMO_SIZE points they solved at (first in,
+first out), keyed by the point's type, dtype, shape and bytes.  A solve is
+deterministic, so a remembered answer is the bits a fresh solve would give.
+An entry holds the key bytes and one gradient, 2 MiB each for MatrixTuple
+points with n = 256, m = 2, so a live derived function then holds at most
+16 x 4 MiB = 64 MiB.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,6 +59,9 @@ class ConvergenceError(ArithmeticError):
 
 class AdmissibilityError(ValueError):
     pass
+
+
+_MEMO_SIZE = 16  # points remembered per derived function
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +123,9 @@ def quadratic_q() -> ScalarFn:
 class ProxOptions:
     """Settings of the inner prox solve.
 
-    ``damping`` is the trial step, as a fraction of t, of the first step, of
-    the first step after a golden-section fallback and of any step where the
-    last two accepted points show no positive curvature; every other trial is
-    the Barzilai-Borwein step.
+    ``damping`` is the trial step, as a fraction of t, of the first step and
+    of any step where the last two accepted points show no positive
+    curvature; every other trial is the Barzilai-Borwein step.
     """
 
     tol: float = 1e-12  # value-accuracy target for the inner infimum
@@ -137,25 +150,6 @@ def _check_time(t: float) -> None:
         raise ValueError(f"inf-convolution time t must be finite and > 0, got {t}")
 
 
-def _golden_section(fn, x_lo, x_hi, iters=80):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    seg = lambda t: (1.0 - t) * x_lo + t * x_hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(seg(c)), fn(seg(d))
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(seg(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(seg(d))
-    t = (a + b) / 2
-    return seg(t)
-
-
 def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     """Minimize psi(y) = phi(y) + ||x-y||^2/(2t); returns (y*, psi(y*)).
 
@@ -163,13 +157,16 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     with step a*t.  The trial a is the Barzilai-Borwein step
     <s, s> / (t <s, r>) of the last two accepted points (s the change in y, r
     the change in grad psi), clamped to 1; it is opts.damping on the first
-    step, after a golden-section fallback and when <s, r> <= 0.  The trial is
-    halved until it decreases psi sufficiently below the largest of the last
-    10 accepted values (the nonmonotone Armijo test of Grippo, Lampariello and
-    Lucidi that Raydan pairs with these steps; against the last value alone,
-    long steps along a flat direction are refused while a steep one is off its
-    minimum).  psi is (1/t)-strongly convex, so (t/2)||grad psi||^2 bounds the
-    value gap and serves as the stopping rule.
+    step and when <s, r> <= 0.  The trial is halved until it decreases psi
+    sufficiently below the largest of the last 10 accepted values (the
+    nonmonotone Armijo test of Grippo, Lampariello and Lucidi that Raydan pairs
+    with these steps; against the last value alone, long steps along a flat
+    direction are refused while a steep one is off its minimum).  psi is
+    (1/t)-strongly convex, so (t/2)||grad psi||^2 bounds the value gap and
+    serves as the stopping rule: every returned point carries that
+    certificate.  A trial halved to 1e-12 without a decrease (a ``grad`` that
+    disagrees with ``fn``, or a phi that is not convex enough) raises
+    ConvergenceError, as does running out of opts.max_iter steps.
     """
     _check_time(t)
     inv_t = 1.0 / t
@@ -182,7 +179,6 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     f_y = psi(y)
     y_prev = g_prev = None
     recent = deque([f_y], maxlen=10)
-    stalls = 0
     armijo = 0.1
     for _ in range(opts.max_iter):
         g_phi = phi.gradient(y)
@@ -198,30 +194,53 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
             if sr > 0.0:
                 a = min(1.0, inner(s, s) / (t * sr))
         target = x - t * g_phi  # fixed-point image x - t grad phi(y)
-        accepted = False
         while a > 1e-12:
             y_new = (1.0 - a) * y + a * target
             f_new = psi(y_new)
             if f_new <= max(recent) - armijo * a * t * g_sq:
-                y_prev, g_prev = y, g_psi
-                y, f_y = y_new, f_new
-                recent.append(f_y)
-                accepted = True
                 break
             a *= 0.5
-        if not accepted:
-            y_prev = None
-            stalls += 1
-            y_gs = _golden_section(psi, y, target)
-            f_gs = psi(y_gs)
-            if f_gs < f_y - 1e-18:
-                y, f_y = y_gs, f_gs
-            elif stalls > 2:
-                return y, f_y
-            recent = deque([f_y], maxlen=10)
+        else:
+            raise ConvergenceError(
+                f"proximal line search found no decrease down to a step of 1e-12 at the "
+                f"certificate (t/2)||grad psi||^2 = {gap_bound:.3e} > tol={opts.tol}; "
+                f"grad may disagree with the function"
+            )
+        y_prev, g_prev = y, g_psi
+        y, f_y = y_new, f_new
+        recent.append(f_y)
     raise ConvergenceError(
         f"proximal iteration did not reach tol={opts.tol} in {opts.max_iter} steps"
     )
+
+
+def _point_key(x) -> tuple:
+    """A point's type, dtype, shape and bytes: equal keys are bit-identical points."""
+    arr = x.entries if isinstance(x, MatrixTuple) else np.asarray(x)
+    return type(x), arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _memoised(solve: Callable) -> tuple[Callable, Callable]:
+    """(value, grad) closures over one memo of ``solve(x) -> (value, gradient)``.
+
+    The memo keeps the last _MEMO_SIZE points, first in first out, so that a
+    value and a gradient at one point, or a checker's repeated visits, cost one
+    solve.  ``grad`` hands out a copy, so a caller that writes into a returned
+    array cannot change a later answer.
+    """
+    memo: dict = {}
+
+    def lookup(x):
+        key = _point_key(x)
+        hit = memo.get(key)
+        if hit is None:
+            hit = solve(x)
+            if len(memo) >= _MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = hit
+        return hit
+
+    return (lambda x: lookup(x)[0]), (lambda x: copy.copy(lookup(x)[1]))
 
 
 def inf_convolution(phi: ScalarFn, t: float, x, opts: ProxOptions | None = None) -> float:
@@ -242,14 +261,12 @@ def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> Scalar
     u_new = 1.0 / (t + u_inv)
     c_new = 1.0 / (t + 1.0 / phi.strong_convexity) if phi.strong_convexity > 0 else 0.0
 
-    def value(x):
-        return inf_convolution(phi, t, x, opts)
-
-    def grad(x):
+    def solve(x):
         # grad phi_t(x) = (x - y*) / t with y* the prox point
-        y_star, _ = _prox_argmin(phi, t, x, opts)
-        return (1.0 / t) * (x - y_star)
+        y_star, val = _prox_argmin(phi, t, x, opts)
+        return val, (1.0 / t) * (x - y_star)
 
+    value, grad = _memoised(solve)
     return ScalarFn(value, grad, strong_convexity=c_new, semiconcavity=u_new,
                     name=f"hopf_lax({phi.name or 'phi'}, {t})")
 
@@ -295,9 +312,13 @@ def legendre_fn(phi: ScalarFn, opts: ProxOptions | None = None) -> ScalarFn:
     """The Legendre transform as a ScalarFn: convex and 1/c-semiconcave."""
     c = _legendre_constant(phi)
     opts = opts or ProxOptions()
-    return ScalarFn(lambda y: legendre_strongly_convex(phi, y, opts),
-                    lambda y: _legendre_prox(phi, y, opts)[0],
-                    strong_convexity=0.0, semiconcavity=1.0 / c,
+
+    def solve(y):
+        x_star, val = _legendre_prox(phi, y, opts)
+        return inner(y, y) / (2 * c) - val, x_star
+
+    value, grad = _memoised(solve)
+    return ScalarFn(value, grad, strong_convexity=0.0, semiconcavity=1.0 / c,
                     name=f"legendre({phi.name or 'phi'})")
 
 
@@ -359,13 +380,12 @@ def _interp_fn(phi: ScalarFn, s: float, t: float, opts: ProxOptions) -> ScalarFn
     quad_coeff = (1 - t) / (1 - s)
     mix = (t - s) / (1 - s)
 
-    def fn(x):
-        return 0.5 * quad_coeff * inner(x, x) + mix * inf_convolution(scaled, s, x, opts)
+    def solve(x):
+        y_star, val = _prox_argmin(scaled, s, x, opts)
+        return (0.5 * quad_coeff * inner(x, x) + mix * val,
+                quad_coeff * x + mix * ((1.0 / s) * (x - y_star)))
 
-    def grad(x):
-        y_star, _ = _prox_argmin(scaled, s, x, opts)
-        return quad_coeff * x + mix * ((1.0 / s) * (x - y_star))
-
+    fn, grad = _memoised(solve)
     c_new = quad_coeff  # hopf-lax part is convex, quadratic part is exact
     u_new = t / s
     return ScalarFn(fn, grad, c_new, u_new, name=f"interp({s},{t})")

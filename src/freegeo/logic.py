@@ -913,20 +913,29 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
 
     Envelope (Danskin) rule: the gradient with respect to ``slots`` is the
     body's gradient at the best point found, with the quantified slot held
-    there.
+    there.  Each ascent point costs one evaluation of the body: ``value``
+    takes the body's gradient in the quantified slot along with its value and
+    keeps it, and ``gradient`` returns the kept array.  A body value does not
+    depend on which slots it is differentiated in, so the bits are those of a
+    value-only evaluation.  ``gradient`` raises if handed any array but the
+    one of the latest ``value`` call, which ``_ascend`` never does.
     """
     sign = f.sign
     radius = f.radius
     n = env[0].shape[0]
     rng = opts.seed.derive(f.qid).rng()
+    latest = [None, None]  # the latest value point and the body's gradient there
 
     def value(y: np.ndarray) -> float:
         env[f.slot] = y
-        return sign * _eval_node(f.body, env, opts)[0]
+        val, grad = _eval_node(f.body, env, opts, (f.slot,))
+        latest[:] = y, grad[0]
+        return sign * val
 
     def gradient(y: np.ndarray) -> np.ndarray:
-        env[f.slot] = y
-        return sign * _eval_node(f.body, env, opts, (f.slot,))[1][0]
+        if y is not latest[0]:
+            raise RuntimeError("a quantifier's gradient is only kept at its latest value point")
+        return sign * latest[1]
 
     starts = [np.zeros((n, n), dtype=np.complex128), radius * np.eye(n, dtype=np.complex128)]
     while len(starts) < opts.starts:
@@ -952,7 +961,10 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
     ball.  Returns the last accepted (value, point).  ``gradient`` is the tr_n
     gradient, n times the entrywise one on whose scale the 1e-14 stopping
     floor is set; a non-finite gradient ends the ascent where it is.  It is
-    only called at the point of the latest ``value`` call.
+    only called with the very array passed to the latest ``value`` call, so
+    a caller may compute the gradient inside ``value`` and hand it back (as
+    quantifiers do) or keep what ``value`` computed towards it (as the
+    envelope potential does).
     """
     y = _project_ball(y0, radius)
     fy = value(y)

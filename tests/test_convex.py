@@ -124,6 +124,19 @@ def test_prox_divergence_reported():
         cx.inf_convolution(bad, 1.0, 1.0, cx.ProxOptions(max_iter=200))
 
 
+@pytest.mark.parametrize("x", [1.0, np.array([1.0, -0.5]),
+                               MatrixTuple(np.ones((1, 2, 2)))], ids=["float", "vector", "tuple"])
+def test_prox_with_a_wrong_gradient_raises(x):
+    # grad points uphill, so no trial step decreases psi; a golden-section
+    # fallback used to return the start after three stalls, uncertified
+    wrong = cx.ScalarFn(lambda z: cx.inner(z, z), grad=lambda z: -2.0 * z, name="wrong")
+    with pytest.raises(cx.ConvergenceError, match=r"certificate \(t/2\)\|\|grad psi\|\|\^2 = "
+                                                  r"\S+ > tol=1e-12"):
+        cx.inf_convolution(wrong, 0.5, x)
+    with pytest.raises(cx.ConvergenceError, match="certificate"):
+        cx.hopf_lax(wrong, 0.5).gradient(x)
+
+
 # ---------------------------------------------------------------------------
 # Legendre transform
 
@@ -414,7 +427,9 @@ def test_prox_work_count(monkeypatch):
     # gradient calls of a fixed reference set: a Hopf-Lax value and gradient,
     # a Legendre value and gradient and both functions of one interpolation
     # pair at each pin point; the shifted function of the Legendre transform
-    # calls phi.gradient inside its own gradient, so it counts twice per step
+    # calls phi.gradient inside its own gradient, so it counts twice per step.
+    # A gradient after a value at the same point reuses the value's solve
+    # (156 when each call solved its own prox)
     calls = 0
     real = cx.ScalarFn.gradient
 
@@ -429,7 +444,7 @@ def test_prox_work_count(monkeypatch):
         ft, psi = cx.hopf_lax(phi, 0.6), cx.legendre_fn(phi)
         pair = cx.interpolation_pair(phi, smooth_convex(0.7, -1.0 * b, 0.2), 0.3, 0.8)
         ft(x), ft.gradient(x), psi(y), psi.gradient(y), pair.phi_st(x), pair.psi_st(y)
-    assert calls == 156
+    assert calls == 110
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +506,108 @@ def test_prox_softplus_oracle(xbu, a, log_k, shift, t):
     y_star = (1.0 / (1.0 + a * t)) * (x - t * float(expit(k * (p - shift))) * u)
     d = x - y_star
     assert_prox_certified(phi, t, x, phi(y_star) + cx.inner(d, d) / (2 * t))
+
+
+# ---------------------------------------------------------------------------
+# The memo of derived functions: one prox solve per point, never a stale answer
+
+
+def count_solves(monkeypatch):
+    """The points at which the derived functions call the prox solver."""
+    points = []
+    real = cx._prox_argmin
+
+    def spy(phi, t, x, opts):
+        points.append(x)
+        return real(phi, t, x, opts)
+
+    monkeypatch.setattr(cx, "_prox_argmin", spy)
+    return points
+
+
+def derived_functions(b):
+    """Hopf-Lax, Legendre and both generic interpolation functions of smooth_convex tilts b."""
+    phi = smooth_convex(1.3, b, 0.4)
+    pair = cx.interpolation_pair(phi, smooth_convex(0.7, -1.0 * b, 0.2), 0.3, 0.8)
+    return {"hopf_lax": cx.hopf_lax(phi, 0.6), "legendre": cx.legendre_fn(phi),
+            "phi_st": pair.phi_st, "psi_st": pair.psi_st}
+
+
+def test_memo_keys_points_by_type_and_shape(monkeypatch):
+    # 1.0 and np.array([1.0]) have the same bytes; each still gets its own solve
+    solves = count_solves(monkeypatch)
+    q = cx.quadratic_q()
+    points = [1.0, np.array([1.0]), MatrixTuple(np.ones((1, 1, 1)))]
+    for f in (cx.hopf_lax(q, 0.5), cx.legendre_fn(q), cx.interpolation_pair(q, q, 0.3, 0.6).phi_st):
+        del solves[:]
+        for _ in range(2):
+            values = [f(x) for x in points]
+            grads = [f.gradient(x) for x in points]
+            assert [type(g) for g in grads] == [float, np.ndarray, MatrixTuple]
+            assert grads[1].shape == (1,)
+            assert values[0] == values[1]
+        assert len(solves) == 3
+
+
+def test_memo_resolves_a_point_changed_in_place(monkeypatch):
+    solves = count_solves(monkeypatch)
+    for name in ("hopf_lax", "legendre", "phi_st"):
+        del solves[:]
+        f = derived_functions(np.array([0.3, -0.5]))[name]
+        x = np.array([0.7, -1.2])
+        first = pin_bytes(f(x)), pin_bytes(f.gradient(x))
+        x[0] = 2.0
+        again = pin_bytes(f(x)), pin_bytes(f.gradient(x))
+        fresh = derived_functions(np.array([0.3, -0.5]))[name]
+        assert again == (pin_bytes(fresh(x)), pin_bytes(fresh.gradient(x)))
+        assert again != first
+        x[0] = 0.7
+        assert (pin_bytes(f(x)), pin_bytes(f.gradient(x))) == first
+        assert len(solves) == 3
+
+
+def test_memo_keeps_the_last_16_points_first_in_first_out(monkeypatch):
+    solves = count_solves(monkeypatch)
+    f = cx.hopf_lax(smooth_convex(1.3, 0.3, 0.4), 0.6)
+    xs = [0.1 * k for k in range(17)]
+    for x in xs[:16]:
+        f(x)
+    for x in xs[:16]:
+        f.gradient(x)
+    assert len(solves) == 16
+    f(xs[16])  # evicts xs[0], the first in
+    f.gradient(xs[1])  # a hit, which does not renew xs[1]
+    assert len(solves) == 17
+    f(xs[0])  # evicts xs[1]
+    f(xs[1])
+    assert len(solves) == 19
+
+
+def test_memo_hands_out_gradients_a_caller_may_change():
+    # legendre_fn's gradient is the prox point itself; writing into a returned
+    # array must not reach the memo
+    y = np.array([-0.4, 0.9])
+    for name, f in derived_functions(np.array([0.3, -0.5])).items():
+        g = f.gradient(y)
+        expected = g.copy()
+        g[:] = 99.0
+        assert np.array_equal(f.gradient(y), expected), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(prox_points(), st.sampled_from(["hopf_lax", "legendre", "phi_st", "psi_st"]),
+       st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=12))
+def test_memo_matches_a_fresh_first_call(xbu, name, calls):
+    # interleaved, repeated value and gradient calls at three points of one type
+    x, b, u = xbu
+    points = [x, b, u]
+    f = derived_functions(b)[name]
+    for i, want_gradient in calls:
+        fresh = derived_functions(b)[name]
+        if want_gradient:
+            assert pin_bytes(f.gradient(points[i])) == pin_bytes(fresh.gradient(points[i]))
+        else:
+            assert pin_bytes(f(points[i])) == pin_bytes(fresh(points[i]))
 
 
 # ---------------------------------------------------------------------------

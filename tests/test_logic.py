@@ -240,6 +240,39 @@ def test_nested_quantifier_saddle():
     assert v == pytest.approx(0.0, abs=1e-6)
 
 
+def test_nested_quantifier_solves_each_inner_problem_once(monkeypatch):
+    # the outer ascent's gradient is kept from its value call, which solved the
+    # inner inf; re-solving it there made 1,772 inner and outer ascents
+    calls = 0
+    real = logic._ascend
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(logic, "_ascend", spy)
+    f = parse("sup{y:1.0} inf{z:1.0} re tr(y*z*x1 + z'*x2)")
+    x = mc.sample_ginibre(2, 2, mc.Seed(3, 1))
+    v = logic.evaluate(f, x, EvalOptions(starts=4, iters=40, seed=mc.Seed(1)))
+    assert v.hex() == (-0.47813745709600897).hex()
+    assert calls == 1132
+
+
+def test_quantifier_gradient_only_at_the_latest_value_point(monkeypatch):
+    def ascend(value, gradient, y0, radius, opts):
+        y = np.array(y0)
+        fy = value(y)
+        assert np.array_equal(gradient(y), gradient(y))
+        gradient(y + 0.1)
+        return fy, y
+
+    monkeypatch.setattr(logic, "_ascend", ascend)
+    with pytest.raises(RuntimeError, match="only kept at its latest value point"):
+        logic.evaluate(delta_predicate(1.0), random_tuple(2, 1, np.random.default_rng(4)),
+                       EvalOptions(starts=1, iters=1))
+
+
 def test_reused_bound_name_matches_distinct_names():
     # y is reused by a sibling quantifier and shadowed by a nested one
     reused = parse("sup{y:1.0} (re tr(y*x1) - inf{y:0.5} re tr(y*y'*x1*x1'))"
@@ -438,9 +471,10 @@ def test_non_finite_gradient_ends_the_ascent(monkeypatch, bad):
 
 
 def test_ascent_iteration_makes_constant_trace_passes(monkeypatch):
-    # one iteration on the n = 6 delta predicate: one gradient pass at the
-    # current point and one value pass per line-search trial (each trial
-    # projects once, as does the start); central differences made 4n^2 = 144
+    # one iteration on the n = 6 delta predicate: one value-and-gradient pass
+    # at the start and one per line-search trial (each trial projects once, as
+    # does the start), the gradient at the current point kept from its value
+    # pass (1 + 1 + trials before); central differences made 4n^2 = 144
     n = 6
     x = random_tuple(n, 1, np.random.default_rng(23))
     counts = {"trace_pass": 0, "_project_ball": 0}
@@ -453,7 +487,7 @@ def test_ascent_iteration_makes_constant_trace_passes(monkeypatch):
     logic.evaluate(delta_predicate(1.0), x, EvalOptions(starts=1, iters=1))
     trials = counts["_project_ball"] - 1
     assert trials >= 1
-    assert counts["trace_pass"] == 1 + 1 + trials
+    assert counts["trace_pass"] == 1 + trials
     assert counts["trace_pass"] < 4 * n * n
 
 
