@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from .gibbs import Potential, SamplerOptions, sample_gibbs
 from .matcore import Seed
@@ -169,8 +167,12 @@ def knn_entropy(points: np.ndarray, k: int = 4) -> float:
     """Kozachenko-Leonenko differential entropy estimate for a low-dim cloud.
 
     Intended for classical desk-scale checks (dimension <= 6); mildly biased
-    for small samples, with bias shrinking in the sample count.
+    for small samples, with bias shrinking in the sample count.  scipy.spatial
+    and scipy.special load at the first call, not when this module is imported.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma, gammaln
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]

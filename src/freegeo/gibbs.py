@@ -273,6 +273,22 @@ class SamplerOptions:
     max_halvings: int = 10
     convexity_spot_pairs: int = 12
 
+    def __post_init__(self):
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be None or finite and > 0, got {self.step}")
+        if self.thin is not None and self.thin < 1:
+            raise ValueError(f"thin must be None or >= 1, got {self.thin}")
+        if self.adapt_steps < 0:
+            raise ValueError(f"adapt_steps must be >= 0, got {self.adapt_steps}")
+        if self.pilot_steps < 0:
+            raise ValueError(f"pilot_steps must be >= 0, got {self.pilot_steps}")
+        lo, hi = self.target_accept
+        if not 0.0 < lo <= hi < 1.0:
+            raise ValueError("target_accept must satisfy 0 < lo <= hi < 1, "
+                             f"got {self.target_accept}")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
+
 
 def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
     """Max violation of the c-strong-convexity midpoint inequality on random pairs."""
@@ -321,6 +337,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     independent.  Fully deterministic given the seed.
     """
     opts = opts or SamplerOptions()
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if pot.c <= 0:
         raise SamplerError("sampler requires a strongly convex potential (c > 0)")
     viol = _convexity_spot(pot.value, pot.c, min(n, 8), m, opts.seed.derive(0),

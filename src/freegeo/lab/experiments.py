@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .. import entropy as en
 from .. import gibbs, logic, transport as tp
@@ -343,12 +342,14 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
         raise ValueError("regularization t must be positive")
     if cfg["matrix_scale"]:
         return run_moment_matrix_scale(cfg)
+    from scipy.special import ndtri  # the Gaussian quantile that norm.ppf calls
+
     report = Report("moment", cfg)
 
     if cfg["mu"] == "delta0":
         mu = tp.Quantile1D(np.zeros(1))
     elif cfg["mu"] == "gaussian":
-        mu = tp.Quantile1D(_norm.ppf((np.arange(kq) + 0.5) / kq))
+        mu = tp.Quantile1D(ndtri((np.arange(kq) + 0.5) / kq))
     else:
         mu = tp.Quantile1D(np.array(parse_float_list(cfg["mu"])))
     if mu.count > 10_000:
@@ -359,7 +360,7 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
     grid = np.linspace(-half, half, cfg["grid_points"])
     dx = grid[1] - grid[0]
 
-    nu = tp.Quantile1D(_norm.ppf((np.arange(kq) + 0.5) / kq))
+    nu = tp.Quantile1D(ndtri((np.arange(kq) + 0.5) / kq))
     rows = []
     w2_steps = []
     for it in range(iters):
@@ -406,7 +407,7 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
     ))
 
     if cfg["mu"] == "delta0":
-        target_atoms = _norm.ppf((np.arange(kq) + 0.5) / kq) / math.sqrt(t_reg)
+        target_atoms = ndtri((np.arange(kq) + 0.5) / kq) / math.sqrt(t_reg)
         w2_to_target = nu.w2(tp.Quantile1D(target_atoms))
         report.add("gaussian_fixed_point", Metric(
             value=w2_to_target, target=0.0, tolerance=0.01,

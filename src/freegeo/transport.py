@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .convex import ScalarFn
 from .gibbs import Ensemble
@@ -116,8 +115,11 @@ def empirical_w2(a: Ensemble, b: Ensemble, method: str = "exact",
     value at regularization eps_reg (default 0.01 x median cost) together with
     a rounded permutation plan.  Both need equal counts.  The plan's
     ``diagnostics`` hold the assignment size and, for ``sinkhorn``, its
-    iteration count and final L1 marginal error.
+    iteration count and final L1 marginal error.  scipy.optimize loads at
+    the first call, not when this module is imported.
     """
+    from scipy.optimize import linear_sum_assignment
+
     _check_compatible(a, b)
     if method not in ("exact", "sinkhorn"):
         raise ValueError(f"unknown method {method!r}")

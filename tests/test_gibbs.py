@@ -315,6 +315,41 @@ def test_sampler_acceptance_collapse_aborts():
         gibbs.sample_gibbs(pot, 4, 1, 10, opts)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"step": 0.0}, "step must be None or finite and > 0, got 0.0"),
+    ({"step": -1.0}, "step must be None or finite and > 0, got -1.0"),
+    ({"step": math.nan}, "step must be None or finite and > 0, got nan"),
+    ({"step": math.inf}, "step must be None or finite and > 0, got inf"),
+    ({"thin": 0}, "thin must be None or >= 1, got 0"),
+    ({"adapt_steps": -1}, "adapt_steps must be >= 0, got -1"),
+    ({"pilot_steps": -5}, "pilot_steps must be >= 0, got -5"),
+    ({"target_accept": (0.0, 0.7)}, r"target_accept .* got \(0.0, 0.7\)"),
+    ({"target_accept": (0.7, 0.5)}, r"target_accept .* got \(0.7, 0.5\)"),
+    ({"target_accept": (0.5, 1.0)}, r"target_accept .* got \(0.5, 1.0\)"),
+    ({"target_accept": (math.nan, 0.7)}, r"target_accept .* got \(nan, 0.7\)"),
+    ({"max_halvings": -1}, "max_halvings must be >= 0, got -1"),
+])
+def test_sampler_options_reject_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        gibbs.SamplerOptions(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 1e-7}, {"step": 1e9}, {"thin": 1}, {"adapt_steps": 0}, {"adapt_steps": 20},
+    {"pilot_steps": 0}, {"max_halvings": 0}, {"max_halvings": 5},
+    {"target_accept": (0.6, 0.6)},
+])
+def test_sampler_options_accept_edge_values(kwargs):
+    assert gibbs.SamplerOptions(**kwargs)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampler_rejects_nonpositive_count(count):
+    with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+        gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 4, 1, count,
+                           gibbs.SamplerOptions(seed=SEED))
+
+
 def test_unitary_conjugation_invariance_of_statistics():
     pot = gibbs.Potential.quadratic(1.0, 1).with_quartic(0.2)
     ens = gibbs.sample_gibbs(pot, 6, 1, 80, gibbs.SamplerOptions(seed=mc.Seed(11)))

@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,18 @@ def test_moment_golden_digest(mu, t):
     assert hashlib.sha256(blob).hexdigest() == MOMENT_GOLDEN[(mu, t)]
 
 
+@pytest.mark.parametrize("kq", [1, 2, 3, 16, 64, 512, 1000, 4096])
+def test_moment_quantiles_ndtri_equal_norm_ppf(kq):
+    # run_moment_fixed_point takes its Gaussian quantiles from ndtri so that
+    # the moment command need not import scipy.stats; the bytes, signs of
+    # zero included, must be those of norm.ppf
+    from scipy.special import ndtri
+    from scipy.stats import norm
+
+    levels = (np.arange(kq) + 0.5) / kq
+    assert ndtri(levels).tobytes() == norm.ppf(levels).tobytes()
+
+
 # sha256 of the JSON of (metrics, series) of the matrix-scale report below
 MATRIX_SCALE_GOLDEN = "ce3c3b00911f6f5edf003f7e8dc39d4d3d8eb6da00150bf1200f287c7840f979"
 
@@ -318,3 +334,35 @@ def test_cli_entropy_subcommand(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["h_n"] == pytest.approx(math.log(2 * math.pi * math.e), abs=0.15)
+
+
+# Runs in a fresh interpreter: the test process has scipy loaded already.
+IMPORT_SET_SCRIPT = """
+import json, sys
+import numpy as np
+import freegeo, freegeo.lab.cli
+from freegeo import entropy, gibbs, transport
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {"import": scipy_modules()}
+rng = np.random.default_rng(0)
+a, b = (gibbs.Ensemble(rng.standard_normal((2, 1, 2, 2))) for _ in range(2))
+transport.empirical_w2(a, b)
+stages["w2"] = scipy_modules()
+entropy.knn_entropy(rng.standard_normal((200, 2)))
+stages["knn"] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
+def test_cli_import_loads_no_scipy_until_first_use():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    stages = json.loads(out.stdout)
+    assert stages["import"] == []
+    assert "scipy.optimize" in stages["w2"]
+    assert "scipy.spatial" in stages["knn"]
