@@ -6,9 +6,15 @@ polynomial's value and its cyclic-derivative gradient come from one call of
 words: duplicate words merged, each distinct product built once (the
 quadratic needs none, the quartic two), and each word's value read as an
 O(n^2) contraction of a product the gradient also uses.  Sampling is
-Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, one
-value-and-gradient call per proposal, with step adaptation during burn-in
-only, so the recorded chain satisfies detailed balance.
+Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, with
+step adaptation during burn-in only, so the recorded chain satisfies detailed
+balance.  A chain binds its potential once (``Potential.bind``: the plan and
+the coefficient sums of ``logic.bind_trace``); each step then makes one
+value-and-gradient call, one ``standard_normal`` draw that fills both noise
+halves and one ``random`` draw for the acceptance test, and does its
+arithmetic in reused buffers.  These are the same floating-point operations
+and draws as a step that allocates, so the chain's bits do not depend on the
+buffering.
 """
 
 from __future__ import annotations
@@ -125,8 +131,18 @@ class Potential:
 
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         """phi and its tr_n gradient at the (m, n, n) array ``entries``, in one pass."""
-        total, grad = logic.trace_pass(self.terms, entries, range(len(entries)))
-        return total.real, grad
+        return self.bind(len(entries))(entries)
+
+    def bind(self, m: int):
+        """``value_and_gradient`` on (m, n, n) arrays, with the trace plan and the
+        coefficient sums bound once (``logic.bind_trace``)."""
+        kernel = logic.bind_trace(self.terms, range(m))
+
+        def value_and_gradient(entries):
+            total, grad = kernel(entries)
+            return total.real, grad
+
+        return value_and_gradient
 
     def formula_text(self) -> str:
         """``re tr(...)`` text of phi; terms on the same word add."""
@@ -286,8 +302,15 @@ class SamplerOptions:
         if not 0.0 < lo <= hi < 1.0:
             raise ValueError("target_accept must satisfy 0 < lo <= hi < 1, "
                              f"got {self.target_accept}")
+        if not 0.0 < self.collapse_threshold < lo:
+            raise ValueError("collapse_threshold must satisfy 0 < t < target_accept[0] = "
+                             f"{lo}, got {self.collapse_threshold}")
         if self.max_halvings < 0:
             raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
+        # zero pairs would switch the strong-convexity spot check off
+        if self.convexity_spot_pairs < 1:
+            raise ValueError("convexity_spot_pairs must be >= 1, got "
+                             f"{self.convexity_spot_pairs}")
 
 
 def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
@@ -299,14 +322,6 @@ def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> 
         b = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
         triples.append((a, b, float(rng.uniform())))
     return check_strong_convexity(value, c, triples).max_violation
-
-
-def _std_noise(rng, n, m):
-    # standard Gaussian for the tr_n real inner product: the orthonormal
-    # coordinates are entries/sqrt(n), so entries are sqrt(n)(g1 + i g2)
-    return np.sqrt(float(n)) * (
-        rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-    )
 
 
 def _iat(series: np.ndarray) -> float:
@@ -350,11 +365,12 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         )
 
     rng = opts.seed.derive(1).rng()
+    kernel = pot.bind(m)
     tau = opts.step if opts.step is not None else 0.5 / (pot.c * n * n)
     nn = n * n
     # the chain state is raw (m, n, n) arrays; the energy is n^2 phi
     x = np.zeros((m, n, n), dtype=np.complex128)
-    v_x, g_x = pot.value_and_gradient(x)
+    v_x, g_x = kernel(x)
     v_x, g_x = nn * v_x, g_x * nn
 
     halvings = 0
@@ -364,26 +380,38 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     accepted_total = 0
     proposed_total = 0
 
+    # Reused per-step buffers.  Standard Gaussian noise in the tr_n real inner
+    # product has entries sqrt(n)(g1 + i g2), since the orthonormal coordinates
+    # are entries/sqrt(n); g1 and g2 come from one draw, in that order.
+    gauss = np.empty((2, m, n, n))
+    noise = np.empty((m, n, n), dtype=np.complex128)
+    fwd, bwd, prop = (np.empty((m, n, n), dtype=np.complex128) for _ in range(3))
+    sqrt_n = math.sqrt(n)
+
     def sq_norm(d):
         return np.vdot(d, d).real / n
 
-    def mala_step(x, v_x, g_x, tau):
-        noise = _std_noise(rng, n, m)
-        mean_fwd = x + g_x * (-tau)
-        prop = mean_fwd + noise * math.sqrt(2 * tau)
-        v_p, g_p = pot.value_and_gradient(prop)
-        v_p, g_p = nn * v_p, g_p * nn
-        mean_bwd = prop + g_p * (-tau)
-        d_fwd = prop - mean_fwd
-        d_bwd = x - mean_bwd
-        log_alpha = v_x - v_p + (-sq_norm(d_bwd) + sq_norm(d_fwd)) / (4 * tau)
-        if math.log(max(rng.uniform(), 1e-300)) < log_alpha:
-            return prop, v_p, g_p, True
-        return x, v_x, g_x, False
+    def mala_step(x, v_x, g_x, prop, tau):
+        """One MALA step from x; ``prop`` is a free state buffer, returned free."""
+        rng.standard_normal(out=gauss)
+        np.multiply(gauss[0], sqrt_n, out=noise.real)
+        np.multiply(gauss[1], sqrt_n, out=noise.imag)
+        np.add(x, np.multiply(g_x, -tau, out=fwd), out=fwd)  # forward mean
+        np.add(fwd, np.multiply(noise, math.sqrt(2 * tau), out=noise), out=prop)
+        v_p, g_p = kernel(prop)
+        v_p = nn * v_p
+        np.multiply(g_p, nn, out=g_p)
+        np.add(prop, np.multiply(g_p, -tau, out=bwd), out=bwd)  # backward mean
+        np.subtract(prop, fwd, out=fwd)
+        np.subtract(x, bwd, out=bwd)
+        log_alpha = v_x - v_p + (-sq_norm(bwd) + sq_norm(fwd)) / (4 * tau)
+        if math.log(max(rng.random(), 1e-300)) < log_alpha:
+            return prop, v_p, g_p, x, True
+        return x, v_x, g_x, prop, False
 
     # phase 1: adaptation
     for step_idx in range(opts.adapt_steps):
-        x, v_x, g_x, ok = mala_step(x, v_x, g_x, tau)
+        x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
         accept_window.append(1.0 if ok else 0.0)
         if len(accept_window) >= 50:
             rate = final_rate = float(np.mean(accept_window))
@@ -404,19 +432,19 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     # phase 2: pilot for autocorrelation (step frozen from here on)
     for _ in range(opts.pilot_steps):
-        x, v_x, g_x, ok = mala_step(x, v_x, g_x, tau)
+        x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
         stat_series.append(v_x)
     tau_int = _iat(np.array(stat_series))
     thin = opts.thin if opts.thin is not None else max(1, int(math.ceil(2 * tau_int)))
     extra_burn = int(math.ceil(10 * tau_int))
     for _ in range(extra_burn):
-        x, v_x, g_x, _ = mala_step(x, v_x, g_x, tau)
+        x, v_x, g_x, prop, _ = mala_step(x, v_x, g_x, prop, tau)
 
     # phase 3: recording
     out = np.empty((count, m, n, n), dtype=np.complex128)
     for i in range(count):
         for _ in range(thin):
-            x, v_x, g_x, ok = mala_step(x, v_x, g_x, tau)
+            x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
             proposed_total += 1
             accepted_total += 1 if ok else 0
         out[i] = x

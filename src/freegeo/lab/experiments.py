@@ -486,6 +486,10 @@ class _EnvelopePotential:
     def value(self, y: MatrixTuple) -> float:
         return self.value_and_gradient(y.entries)[0]
 
+    def bind(self, m: int):
+        """The sampler's per-chain kernel: nothing to bind, the inner ascent is stateful."""
+        return self.value_and_gradient
+
     def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
         y = MatrixTuple(entries)
         x_star, sup_val = self._solve(y)

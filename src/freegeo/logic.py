@@ -46,6 +46,7 @@ __all__ = [
     "EvalOptions",
     "QfType",
     "compile_poly",
+    "bind_trace",
     "trace_pass",
     "parse",
     "print_formula",
@@ -383,30 +384,33 @@ def _sum_coefs(coefs, spec):
     return total
 
 
-def trace_pass(terms, entries, grad_slots=None):
-    """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None).
+def _bind(terms, grad_slots):
+    """(plan, merged coefficient per distinct word, coefficient per gradient group).
 
-    ``entries[j]`` is the matrix in slot j, an (m, n, n) array or a list;
-    only the slots that occur in the words are read.  The gradient is taken
-    with respect to the slots in ``grad_slots``, stacked in that order as a
-    (len(grad_slots), n, n) array; letters in other slots, and words with
-    none of these slots, add nothing to it.  An occurrence of x_j with
-    cyclic remainder r (the letters after it, then those before it) adds
-    (coef r)^* to slot j of the gradient, one of x_j^* adds coef r.
-
-    The work follows the plan ``_trace_plan`` compiles once per (words,
-    grad_slots), whatever the coefficients: identical words merge, each
-    distinct product is one matmul, adjoints are read as conjugate
-    transposes, each value is an O(n^2) contraction of a product the
-    gradient also uses with the word's last letter, and gradient
-    contributions are summed per (slot, product) before they are scaled.
+    The group coefficients are flat, in the order ``_run`` reads them: per
+    gradient slot, each group's summed coefficient (conjugated for an adjoint
+    group, since coef M^H = conj(conj(coef) M^T) needs no conjugate copy of
+    the product), then the slot's identity coefficient if it has one.
     """
     plan = _trace_plan(tuple([w for _, w in terms]),
                        None if grad_slots is None else tuple(grad_slots))
-    n = entries[0].shape[0]
     coefs = [0j] * len(plan.reads)
     for (coef, _), u in zip(terms, plan.merge):
         coefs[u] += coef
+    sums = []
+    for groups, eye in plan.grads or ():
+        for _, adj, spec, _ in groups:
+            coef = _sum_coefs(coefs, spec)
+            sums.append(coef.conjugate() if adj else coef)
+        if eye:
+            sums.append(_sum_coefs(coefs, eye))
+    return plan, coefs, sums
+
+
+def _run(bound, entries):
+    """The matrix work of ``trace_pass`` for a plan and coefficients from ``_bind``."""
+    plan, coefs, sums = bound
+    n = entries[0].shape[0]
     mats = [entries[j] for j in plan.slots]
     for a, b, into in plan.steps:
         out = None
@@ -428,21 +432,55 @@ def trace_pass(terms, entries, grad_slots=None):
     if plan.grads is None:
         return total, None
     grad = np.empty((len(plan.grads), n, n), dtype=np.complex128)
+    coef_of = iter(sums)
     for out, (groups, eye) in zip(grad, plan.grads):
         if not groups:
             out.fill(0)
-        for k, (a, adj, spec, in_place) in enumerate(groups):
-            coef = _sum_coefs(coefs, spec)
-            # coef M^H = conj(conj(coef) M^T): no conjugate copy of the product
-            mat, coef = (mats[a].T, coef.conjugate()) if adj else (mats[a], coef)
-            part = np.multiply(mat, coef, out=out if k == 0 else mat if in_place else None)
+        for k, (a, adj, _, in_place) in enumerate(groups):
+            mat = mats[a].T if adj else mats[a]
+            part = np.multiply(mat, next(coef_of),
+                               out=out if k == 0 else mat if in_place else None)
             if adj:
                 np.conjugate(part, out=part)
             if k:
                 out += part
         if eye:
-            out.reshape(-1)[:: n + 1] += _sum_coefs(coefs, eye)
+            out.reshape(-1)[:: n + 1] += next(coef_of)
     return total, grad
+
+
+def bind_trace(terms, grad_slots=None):
+    """``trace_pass(terms, ., grad_slots)`` as a function of ``entries`` alone.
+
+    The plan lookup, the merged coefficients of duplicate words and the
+    coefficient sum of every gradient group are done here, once; each call
+    then runs only the matrix work, the same floating-point operations as
+    ``trace_pass``.
+    """
+    return functools.partial(_run, _bind(terms, grad_slots))
+
+
+def trace_pass(terms, entries, grad_slots=None):
+    """(sum_i coef_i tr_n(word_i), tr_n gradient of its real part or None).
+
+    ``entries[j]`` is the matrix in slot j, an (m, n, n) array or a list;
+    only the slots that occur in the words are read.  The gradient is taken
+    with respect to the slots in ``grad_slots``, stacked in that order as a
+    (len(grad_slots), n, n) array; letters in other slots, and words with
+    none of these slots, add nothing to it.  An occurrence of x_j with
+    cyclic remainder r (the letters after it, then those before it) adds
+    (coef r)^* to slot j of the gradient, one of x_j^* adds coef r.
+
+    The work follows the plan ``_trace_plan`` compiles once per (words,
+    grad_slots), whatever the coefficients: identical words merge, each
+    distinct product is one matmul, adjoints are read as conjugate
+    transposes, each value is an O(n^2) contraction of a product the
+    gradient also uses with the word's last letter, and gradient
+    contributions are summed per (slot, product) before they are scaled.
+    A caller that evaluates the same terms many times binds them once with
+    ``bind_trace``.
+    """
+    return _run(_bind(terms, grad_slots), entries)
 
 
 # ---------------------------------------------------------------------------

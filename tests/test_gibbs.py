@@ -244,6 +244,13 @@ GOLDEN_POTENTIALS = {
     "tilt": (lambda: gibbs.Potential.quadratic(1.0, 2).with_tilt([0.4 - 0.3j, 0.2]), 2),
     "quartic+tilt": (lambda: gibbs.Potential.quadratic(2.0, 2).with_tilt([0.5, -0.25])
                      .with_quartic(0.1), 2),
+    # a thermodynamic-integration node: the shared quadratic words merge
+    "ti-mix": (lambda: entropy._mix_potential(gibbs.Potential.quadratic(1.0, 1),
+                                              gibbs.Potential.quadratic(1.0, 1)
+                                              .with_quartic(0.25), 0.3), 1),
+    # the talagrand experiment's base: a quartic on the first of two slots
+    "quartic-slot0": (lambda: gibbs.Potential.quadratic(1.0, 2).with_quartic(0.5, slots=[0]),
+                      2),
 }
 GOLDEN_SAMPLES = {
     ("quadratic", 4): "86e7e9464d56cf4d970d70a96cb23baf9a9aa83aa0b08b41d33caeb57763f544",
@@ -252,6 +259,10 @@ GOLDEN_SAMPLES = {
     ("tilt", 8): "aee78017af8626374f270e7912d90fa95dcd1703d162bb968b7c451f1b19aee6",
     ("quartic+tilt", 4): "df48b1e86ee104c95aa6d6a8f8a098c40caec58f4dca3992438810d2f629bf97",
     ("quartic+tilt", 8): "03f5663b94aaf0acdd5dc057dcf01274c9a6edcc16f6304bba0a8966658c50d0",
+    # n = 6: n^2 is not a power of two
+    ("quartic+tilt", 6): "655d6041d89ef39fd6d956b3abd46f769a114b0613b98b0779dc3aa5b8e737c7",
+    ("ti-mix", 8): "1d4b028722f4333ea451700096c2a64860845f7902497bb67f1358e66894077d",
+    ("quartic-slot0", 8): "65490e3af066d08d169b9f548ecdc2da751e828778217a470eb2e2a2dedba439",
 }
 
 
@@ -260,6 +271,78 @@ def test_sampler_golden_samples(name, n):
     build, m = GOLDEN_POTENTIALS[name]
     ens = gibbs.sample_gibbs(build(), n, m, 6, gibbs.SamplerOptions(seed=mc.Seed(2024, n)))
     assert hashlib.sha256(ens.samples.tobytes()).hexdigest() == GOLDEN_SAMPLES[(name, n)]
+
+
+@pytest.mark.parametrize("n,m", [(6, 1), (8, 2)])
+def test_numpy_draws_and_arithmetic_the_mala_step_relies_on(n, m):
+    # the goldens above rest on these equalities; a numpy release that breaks
+    # one fails here instead of moving the goldens
+    a, b = mc.Seed(2024, n).rng(), mc.Seed(2024, n).rng()
+    for _ in range(50):  # random() is uniform(), at the same stream position
+        assert a.random().hex() == b.uniform().hex()
+    gauss = np.empty((2, m, n, n))
+    a.standard_normal(out=gauss)
+    g1, g2 = b.standard_normal((m, n, n)), b.standard_normal((m, n, n))
+    assert gauss.tobytes() == np.stack([g1, g2]).tobytes()
+    assert a.random().hex() == b.uniform().hex()
+    # noise built in the real and imaginary views, as sample_gibbs builds it
+    noise = np.empty((m, n, n), dtype=np.complex128)
+    np.multiply(gauss[0], math.sqrt(n), out=noise.real)
+    np.multiply(gauss[1], math.sqrt(n), out=noise.imag)
+    assert noise.tobytes() == (np.sqrt(float(n)) * (g1 + 1j * g2)).tobytes()
+
+
+class CountingRng:
+    """A Generator that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_mala_step_work_count(monkeypatch):
+    # per step: one normal draw, one random draw, one kernel call; the plan
+    # and its coefficients are bound once per chain
+    rngs, binds = {}, []
+    seed_rng, bind_trace = mc.Seed.rng, logic.bind_trace
+
+    def counting_rng(seed):
+        rngs[seed] = CountingRng(seed_rng(seed))
+        return rngs[seed]
+
+    def counting_bind(terms, grad_slots=None):
+        kernel = bind_trace(terms, grad_slots)
+        binds.append([tuple(grad_slots) if grad_slots is not None else None, 0])
+        record = binds[-1]
+
+        def run(entries):
+            record[1] += 1
+            return kernel(entries)
+
+        return run
+
+    monkeypatch.setattr(mc.Seed, "rng", counting_rng)
+    monkeypatch.setattr(logic, "bind_trace", counting_bind)
+    build, m = GOLDEN_POTENTIALS["quartic+tilt"]
+    opts = gibbs.SamplerOptions(seed=mc.Seed(2024, 4), adapt_steps=120, pilot_steps=80)
+    count = 5
+    ens = gibbs.sample_gibbs(build(), 4, m, count, opts)
+    steps = (opts.adapt_steps + opts.pilot_steps + math.ceil(10 * ens.diagnostics["iat"])
+             + count * ens.diagnostics["thin"])
+    assert rngs[opts.seed.derive(1)].calls == {"standard_normal": steps, "random": steps}
+    chain_binds = [b for b in binds if b[0] is not None]
+    assert chain_binds == [[(0, 1), steps + 1]]  # the extra call is the start point
+    # the convexity spot check evaluates values only, one binding per value
+    assert all(calls == 1 for slots, calls in binds if slots is None)
 
 
 def test_gibbs_entropy_golden_value():
@@ -328,6 +411,14 @@ def test_sampler_acceptance_collapse_aborts():
     ({"target_accept": (0.5, 1.0)}, r"target_accept .* got \(0.5, 1.0\)"),
     ({"target_accept": (math.nan, 0.7)}, r"target_accept .* got \(nan, 0.7\)"),
     ({"max_halvings": -1}, "max_halvings must be >= 0, got -1"),
+    ({"convexity_spot_pairs": 0}, "convexity_spot_pairs must be >= 1, got 0"),
+    ({"convexity_spot_pairs": -3}, "convexity_spot_pairs must be >= 1, got -3"),
+    ({"collapse_threshold": 0.0}, r"collapse_threshold .* = 0.5, got 0.0"),
+    ({"collapse_threshold": -0.1}, r"collapse_threshold .* = 0.5, got -0.1"),
+    ({"collapse_threshold": 0.5}, r"collapse_threshold .* = 0.5, got 0.5"),
+    ({"collapse_threshold": math.nan}, r"collapse_threshold .* = 0.5, got nan"),
+    ({"collapse_threshold": 0.3, "target_accept": (0.2, 0.7)},
+     r"collapse_threshold .* = 0.2, got 0.3"),
 ])
 def test_sampler_options_reject_bad_values(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -337,7 +428,8 @@ def test_sampler_options_reject_bad_values(kwargs, match):
 @pytest.mark.parametrize("kwargs", [
     {"step": 1e-7}, {"step": 1e9}, {"thin": 1}, {"adapt_steps": 0}, {"adapt_steps": 20},
     {"pilot_steps": 0}, {"max_halvings": 0}, {"max_halvings": 5},
-    {"target_accept": (0.6, 0.6)},
+    {"target_accept": (0.6, 0.6)}, {"convexity_spot_pairs": 1},
+    {"collapse_threshold": 1e-9}, {"collapse_threshold": 0.49},
 ])
 def test_sampler_options_accept_edge_values(kwargs):
     assert gibbs.SamplerOptions(**kwargs)
