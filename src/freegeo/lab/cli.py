@@ -31,6 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENT_COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _common_flags(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="format of the metrics file written to --out")
 
     p = sub.add_parser("eval", help="evaluate a formula on an ensemble or tuple file")
     p.add_argument("--formula", required=True)
@@ -39,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("sample", help="sample a Gibbs ensemble to a FIGE file")
     _common_flags(p)
@@ -51,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--method", choices=("exact", "sinkhorn"), default="exact")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 
@@ -60,7 +60,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _load_config(command: str, args) -> RunConfig:
@@ -122,6 +121,9 @@ def _cmd_eval(args) -> int:
     ast = logic.parse(args.formula)
     opts = EvalOptions(starts=args.starts, iters=args.iters, seed=Seed(args.seed))
     if args.index is not None:
+        if not 0 <= args.index < ens.count:
+            raise ValueError(f"--index {args.index} is out of range for {args.infile!r}, "
+                             f"which holds {ens.count} tuples")
         vals = [logic.evaluate(ast, ens[args.index], opts)]
     else:
         vals = [logic.evaluate(ast, t, opts) for t in ens.tuples()]

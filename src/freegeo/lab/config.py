@@ -95,7 +95,10 @@ def _coerce(raw: str, typ):
     if typ is float:
         return float(raw)
     if typ is bool:
-        return raw.lower() in ("1", "true", "yes")
+        word = raw.lower()
+        if word not in ("1", "0", "true", "false", "yes", "no"):
+            raise ValueError(f"expected 1/0/true/false/yes/no, got {raw!r}")
+        return word in ("1", "true", "yes")
     return raw
 
 

@@ -9,7 +9,8 @@ Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
 ``trace_pass``, evaluates every trace polynomial from such words, following
 a plan it compiles once per set of words: duplicate words merged, each
 distinct matrix product built once, adjoints read as conjugate transposes
-and values as O(n^2) contractions.
+and values as O(n^2) contractions.  ``qf_type`` reads every word's moment
+through the same plans.
 
 Quantified values are computed by projected multistart gradient search over
 the ball, with the analytic gradient (cyclic derivative plus envelope rule):
@@ -407,10 +408,8 @@ def _bind(terms, grad_slots):
     return plan, coefs, sums
 
 
-def _run(bound, entries):
-    """The matrix work of ``trace_pass`` for a plan and coefficients from ``_bind``."""
-    plan, coefs, sums = bound
-    n = entries[0].shape[0]
+def _products(plan, entries):
+    """The slot matrices, then the product each step of ``plan`` builds."""
     mats = [entries[j] for j in plan.slots]
     for a, b, into in plan.steps:
         out = None
@@ -418,8 +417,13 @@ def _run(bound, entries):
             out = mats[into] if mats[into].flags.c_contiguous else mats[into].T
         mats.append(np.conjugate(mats[a], out=out).T if b is None
                     else np.matmul(mats[a], mats[b], out=out))
-    total = 0.0
-    for coef, (form, conj, a, b) in zip(coefs, plan.reads):
+    return mats
+
+
+def _traces(plan, mats, n) -> list:
+    """Tr (not tr_n) of each distinct word of ``plan``, in the order of its reads."""
+    trs = []
+    for form, conj, a, b in plan.reads:
         if form == 0:
             tr = n
         elif form == 1:
@@ -428,7 +432,18 @@ def _run(bound, entries):
             tr = np.vdot(mats[a], mats[b])
         else:
             tr = np.einsum("ij,ji->", mats[a], mats[b])
-        total += coef * (tr.conjugate() if conj else tr) / n
+        trs.append(tr.conjugate() if conj else tr)
+    return trs
+
+
+def _run(bound, entries):
+    """The matrix work of ``trace_pass`` for a plan and coefficients from ``_bind``."""
+    plan, coefs, sums = bound
+    mats = _products(plan, entries)
+    n = (mats[0] if mats else entries[0]).shape[0]
+    total = 0.0
+    for coef, tr in zip(coefs, _traces(plan, mats, n)):
+        total += coef * tr / n
     if plan.grads is None:
         return total, None
     grad = np.empty((len(plan.grads), n, n), dtype=np.complex128)
@@ -1060,52 +1075,24 @@ def _all_words(m: int, degree: int) -> list[Word]:
 
 
 @functools.lru_cache(maxsize=32)
-def _qf_plan(m: int, max_degree: int):
-    """The word products ``qf_type`` builds and how it pairs them, per (m, degree).
-
-    ``grow`` lists (prefix index, slot, star) for every word up to half the
-    degree, each extending an earlier product (index 0 is the empty word);
-    ``splits`` lists (word, left index, right index) with the word's moment
-    the tr_n contraction of its two halves.
-    """
-    index: dict[Word, int] = {(): 0}
-    grow = []
-    for w in _all_words(m, (max_degree + 1) // 2):
-        if w:
-            name, star = w[-1]
-            grow.append((index[w[:-1]], int(name[1:]) - 1, star))
-            index[w] = len(index)
-    splits = tuple((w, index[w[: len(w) // 2]], index[w[len(w) // 2 :]])
-                   for w in _all_words(m, max_degree))
-    return tuple(grow), splits
+def _qf_words(m: int, max_degree: int):
+    """Every word of length <= max_degree over m letters, and the plan that reads them."""
+    words = _all_words(m, max_degree)
+    terms = compile_poly(NcPolynomial(dict.fromkeys(words, 1.0)))
+    return words, _trace_plan(tuple([w for _, w in terms]), None)
 
 
 def qf_type(x: MatrixTuple, max_degree: int) -> QfType:
     """moment(w) = tr_n(w(X)) for every word of length <= max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    grow, splits = _qf_plan(x.m, max_degree)
-    # products for words up to half the degree; pair with tr(AB) contraction
-    prods = [np.eye(x.n, dtype=np.complex128)]
-    for parent, slot, star in grow:
-        mat = x.entries[slot]
-        prods.append(prods[parent] @ (mat.conj().T if star else mat))
-    moments = {w: complex(np.einsum("ab,ba->", prods[a], prods[b]) / x.n)
-               for w, a, b in splits}
-    return QfType(x.m, max_degree, moments)
+    words, plan = _qf_words(x.m, max_degree)
+    traces = _traces(plan, _products(plan, x.entries), x.n)
+    return QfType(x.m, max_degree, {w: complex(tr / x.n) for w, tr in zip(words, traces)})
 
 
-def qf_distance(a: QfType, b: QfType, weights=None) -> float:
-    """Weighted sup of |moment differences|; a metric at fixed degree.
-
-    ``weights`` maps word length to a positive weight (default all 1).
-    """
+def qf_distance(a: QfType, b: QfType) -> float:
+    """Sup of |moment differences| over all words; a metric at fixed degree."""
     if a.degree != b.degree or a.m != b.m:
         raise ValueError("qf_distance requires matching degree and tuple length")
-    if weights is None:
-        weights = {}
-    best = 0.0
-    for w, mom in a.moments.items():
-        wt = float(weights.get(len(w), 1.0)) if isinstance(weights, dict) else float(weights(len(w)))
-        best = max(best, wt * abs(mom - b.moments[w]))
-    return best
+    return max(abs(mom - b.moments[w]) for w, mom in a.moments.items())

@@ -55,6 +55,18 @@ def test_config_type_errors():
         RunConfig.from_dict("counterexample", {"epsilon": "abc"})
 
 
+@pytest.mark.parametrize("raw, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                        ("0", False), ("false", False), ("NO", False)])
+def test_config_bool_accepts_its_six_words(raw, value):
+    assert RunConfig.from_dict("moment", {"matrix_scale": raw})["matrix_scale"] is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "on", "off", ""])
+def test_config_bool_rejects_other_words(raw):
+    with pytest.raises(ConfigError, match="matrix_scale"):
+        RunConfig.from_dict("moment", {"matrix_scale": raw})
+
+
 def test_config_seed_override():
     cfg = RunConfig.from_dict("qfconv", {"seed": 1}, overrides={"seed": 9})
     assert cfg["seed"] == 9
@@ -315,6 +327,36 @@ def test_cli_eval_single_tuple(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "value" in blob and math.isfinite(blob["value"])
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_cli_eval_index_out_of_range(tmp_path, capsys, index):
+    fige = tmp_path / "two.fige"
+    gibbs.save_ensemble(gibbs.Ensemble(np.zeros((2, 1, 2, 2), dtype=complex)), fige)
+    code = cli_main(["eval", "--formula", "re tr(x1)", "--in", str(fige),
+                     "--index", str(index)])
+    assert code == 1
+    assert f"error: --index {index} is out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--formula", "re tr(x1)", "--in", "a.fige"],
+                                  ["w2", "--a", "a.fige", "--b", "b.fige"],
+                                  ["sample"], ["entropy"]])
+def test_cli_format_only_on_experiments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_cli_experiment_writes_csv_with_format(tmp_path, capsys):
+    cfg_file = tmp_path / "ce.cfg"
+    cfg_file.write_text("epsilon = 0.01\nk = 4\nl = 4\nsamples = 6\nseed = 2\n")
+    code = cli_main(["counterexample", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "out"), "--format", "csv"])
+    assert code == 0
+    assert "report written to" in capsys.readouterr().out
+    assert (tmp_path / "out" / "counterexample_metrics.csv").exists()
 
 
 @pytest.mark.parametrize("formula, value", [("(re tr(x1))^-1.0", "pow(0.0, -1.0)"),

@@ -591,8 +591,21 @@ def test_qf_type_every_word_matches_direct_product(m, degree):
             a = x.entries[int(name[1:]) - 1]
             prod = prod @ (a.conj().T if star else a)
         assert mom == pytest.approx(complex(np.trace(prod)) / 3, abs=1e-12)
-    again = logic.qf_type(x, degree)  # second call reuses the cached word plan
+    again = logic.qf_type(x, degree)  # second call reuses the cached words and trace plan
     assert repr(again.moments) == repr(t.moments)
+
+
+@pytest.mark.parametrize("m,degree,n", [(1, 2, 4), (2, 3, 5), (2, 4, 6), (3, 3, 3)])
+def test_qf_type_reads_the_trace_pass_plan(m, degree, n):
+    # the moments are the per-word reads of the one kernel: summed in word
+    # order they give trace_pass's value of the sum of all words, bit for bit
+    x = random_tuple(n, m, np.random.default_rng(15))
+    t = logic.qf_type(x, degree)
+    total = 0.0
+    for mom in t.moments.values():
+        total += mom
+    unit = logic.NcPolynomial(dict.fromkeys(t.moments, 1.0))
+    assert total == logic.trace_pass(logic.compile_poly(unit), x.entries)[0]
 
 
 def test_qf_type_gue_semicircle_moments():
