@@ -114,10 +114,18 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _load_tuples(path) -> gibbs.Ensemble:
+    """A FIGE ensemble that holds at least one tuple; an empty one is a ValueError."""
+    ens = gibbs.load_ensemble(path)
+    if ens.count == 0:
+        raise ValueError(f"{path}: the ensemble holds no tuples (count 0)")
+    return ens
+
+
 def _cmd_eval(args) -> int:
     from ..logic import EvalOptions
 
-    ens = gibbs.load_ensemble(args.infile)
+    ens = _load_tuples(args.infile)
     ast = logic.parse(args.formula)
     opts = EvalOptions(starts=args.starts, iters=args.iters, seed=Seed(args.seed))
     if args.index is not None:
@@ -139,8 +147,8 @@ def _cmd_eval(args) -> int:
 def _cmd_w2(args) -> int:
     from .. import transport as tp
 
-    a = gibbs.load_ensemble(args.a)
-    b = gibbs.load_ensemble(args.b)
+    a = _load_tuples(args.a)
+    b = _load_tuples(args.b)
     w, plan = tp.empirical_w2(a, b, method=args.method)
     print(json.dumps({"w2": w, "cost": plan.cost, "method": args.method,
                       "plan": plan.to_json(), "diagnostics": plan.diagnostics}))

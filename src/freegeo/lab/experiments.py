@@ -446,9 +446,9 @@ class _EnvelopePotential:
         self.eps = eps
         self.radius = radius
         self.target = np.atleast_1d(np.asarray(target, dtype=float))
-        # (word, slot word) for every word of degree 1 or 2, compiled once
-        unit = logic.NcPolynomial(dict.fromkeys((w for w in logic._all_words(m, 2) if w), 1.0))
-        self.words = [(w, sw) for w, (_, sw) in zip(unit.terms, logic.compile_poly(unit))]
+        # (word, slot word) for every word of degree 1 or 2, as qf_type reads them
+        words, slot_words, _ = logic._qf_words(m, 2)
+        self.words = [(w, sw) for w, sw in zip(words, slot_words) if w]
         start = MatrixTuple.scalar(self.target, n)
         self.tau = logic.qf_type(start, 2).moments
         self._warm = start.entries

@@ -5,8 +5,9 @@ quantifiers over operator-norm balls, and a fixed library of continuous
 connectives.  Syntax: adjoint is a postfix prime (``x1'``), products inside
 ``tr(...)`` use an explicit ``*``, quantifiers read ``sup{y:1.0} body``.
 
-Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
-``trace_pass``, evaluates every trace polynomial from such words, following
+Atoms are compiled to slot words, and bound to their kernel per gradient
+slots, once per ``evaluate`` call; one kernel, ``trace_pass`` (``bind_trace``
+when bound), evaluates every trace polynomial from such words, following
 a plan it compiles once per set of words: duplicate words merged, each
 distinct matrix product built once, adjoints read as conjugate transposes
 and values as O(n^2) contractions.  ``qf_type`` reads every word's moment
@@ -17,11 +18,13 @@ the ball, with the analytic gradient (cyclic derivative plus envelope rule):
 one pass over the compiled formula gives a node's value and its gradient,
 atoms through ``trace_pass``, connectives by the chain rule (fixed one-sided
 choices at kinks), and a nested sup/inf through the gradient of its body at
-its best point (Danskin's envelope rule).  When the quantifier's body is
-quantifier-free, a returned sup is a certified lower bound (and an inf an
-upper bound) up to the optimizer tolerance; once quantifiers nest, the inner
-values are themselves approximate and the outer value has no certified
-direction.  ``exp`` clamps its argument at 700.
+its best point (Danskin's envelope rule).  Each ascent ends on a
+projected-gradient certificate, checked before a line-search trial is
+evaluated.  When the quantifier's body is quantifier-free, a returned sup is
+a certified lower bound (and an inf an upper bound) up to the optimizer
+tolerance; once quantifiers nest, the inner values are themselves
+approximate and the outer value has no certified direction.  ``exp`` clamps
+its argument at 700.
 """
 
 from __future__ import annotations
@@ -779,7 +782,10 @@ def evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None = None) -> flo
     projected multistart gradient search over the operator-norm ball, driven
     by the analytic gradient (cyclic derivative plus envelope rule), so the
     result is one-sided up to optimizer error when the quantifier's body is
-    quantifier-free.  Deterministic given opts.seed.
+    quantifier-free.  Each ascent stops once its gradient mapping certifies
+    that no line-search trial could gain more than 1e-15 (see ``_ascend``),
+    or when its step falls below opts.tol times the radius.  Each atom binds
+    its trace kernel once per call.  Deterministic given opts.seed.
     """
     return _evaluate(f, x, opts, None)[0]
 
@@ -817,6 +823,8 @@ def _evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None, slots):
 class _SlotAtom(Formula):
     terms: tuple[Term, ...]
     take_real: bool
+    # bind_trace(terms, slots) per gradient slots asked for; an atom lives for one evaluate
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -863,13 +871,17 @@ def _eval_node(f, env, opts, slots=None):
 
     The gradient is taken with respect to the slots in ``slots`` and stacked
     as a (len(slots), n, n) array; it is None when ``slots`` is None.  Atoms
-    take the cyclic derivative from ``trace_pass``, connectives the chain
-    rule, and quantifiers the envelope rule (see ``_eval_quant``).
+    take the cyclic derivative from their kernel, bound once per gradient
+    slots (``bind_trace``), connectives the chain rule, and quantifiers the
+    envelope rule (see ``_eval_quant``).
     """
     if isinstance(f, Const):
         return f.value, _zero_gradient(env, slots)
     if isinstance(f, _SlotAtom):
-        val, grad = trace_pass(f.terms, env, slots)
+        kernel = f.kernels.get(slots)
+        if kernel is None:
+            kernel = f.kernels[slots] = bind_trace(f.terms, slots)
+        val, grad = kernel(env)
         if not f.take_real:
             scale = max(1.0, abs(val))
             if abs(val.imag) > _IMAG_TOL * scale:
@@ -1007,13 +1019,28 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
     return sign * best, _eval_node(f.body, env, opts, slots)[1]
 
 
+# A line-search trial must raise the value by more than this to be accepted.
+_GAIN_MARGIN = 1e-15
+
+
 def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
     """Projected gradient ascent with multiplicative line search on step size.
 
     ``y0`` is one matrix or a (k, n, n) stack, each matrix held in its own
-    ball.  Returns the last accepted (value, point).  ``gradient`` is the tr_n
-    gradient, n times the entrywise one on whose scale the 1e-14 stopping
-    floor is set; a non-finite gradient ends the ascent where it is.  It is
+    ball.  Returns the last accepted (value, point).  A trial point is
+    accepted when it raises the value by more than ``_GAIN_MARGIN``; the step
+    then grows by 1.3, and it halves after a rejected trial.
+
+    The ascent ends on a projected-gradient certificate: before a trial
+    y+ = P(y + s g/|g|) is evaluated (P the projection onto the balls, s the
+    step), its gradient mapping q = |g| |y+ - y| / s is compared with
+    sqrt(2 n _GAIN_MARGIN), and at or below that the ascent stops at y
+    without calling ``value``.  That costs one projection.  The backstops
+    are ``opts.iters`` accepted steps and a step halved below
+    max(opts.tol * radius, 1e-14), which is how an ascent at a kink of its
+    value ends.  A gradient norm below 1e-14 n or not finite also ends it.
+
+    ``gradient`` is the tr_n gradient, n times the entrywise one.  It is
     only called with the very array passed to the latest ``value`` call, so
     a caller may compute the gradient inside ``value`` and hand it back (as
     quantifiers do) or keep what ``value`` computed towards it (as the
@@ -1024,6 +1051,14 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
     n = y.shape[-1]
     step = opts.step if opts.step is not None else radius
     min_step = max(opts.tol * radius, 1e-14)
+    # Near a maximum of tr_n curvature c the gradient mapping is about c|d|
+    # for a point |d| away, and the value still to gain about c|d|^2 / (2n),
+    # that is q^2 / (2nc).  At unit curvature a q below this bound leaves a
+    # gain under the acceptance margin, which no trial could show.  Rounding
+    # in the value makes the line search stall at about this q: medians of
+    # 2e-8 to 1.1e-7 for the distance predicate at n = 2 to 32, where the
+    # bound is 6e-8 to 2.5e-7.
+    stationary = math.sqrt(2 * n * _GAIN_MARGIN)
     for _ in range(opts.iters):
         g = gradient(y)
         gnorm = np.linalg.norm(g)
@@ -1033,8 +1068,10 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
         improved = False
         while step >= min_step:
             y_new = _project_ball(y + step * direction, radius)
+            if gnorm * np.linalg.norm(y_new - y) <= stationary * step:
+                break
             f_new = value(y_new)
-            if f_new > fy + 1e-15:
+            if f_new > fy + _GAIN_MARGIN:
                 y, fy = y_new, f_new
                 step *= 1.3
                 improved = True
@@ -1076,17 +1113,18 @@ def _all_words(m: int, degree: int) -> list[Word]:
 
 @functools.lru_cache(maxsize=32)
 def _qf_words(m: int, max_degree: int):
-    """Every word of length <= max_degree over m letters, and the plan that reads them."""
+    """Every word of length <= max_degree over m letters, its slot word, and the plan
+    that reads them (the slot words in the same order)."""
     words = _all_words(m, max_degree)
-    terms = compile_poly(NcPolynomial(dict.fromkeys(words, 1.0)))
-    return words, _trace_plan(tuple([w for _, w in terms]), None)
+    slot_words = tuple([w for _, w in compile_poly(NcPolynomial(dict.fromkeys(words, 1.0)))])
+    return words, slot_words, _trace_plan(slot_words, None)
 
 
 def qf_type(x: MatrixTuple, max_degree: int) -> QfType:
     """moment(w) = tr_n(w(X)) for every word of length <= max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    words, plan = _qf_words(x.m, max_degree)
+    words, _, plan = _qf_words(x.m, max_degree)
     traces = _traces(plan, _products(plan, x.entries), x.n)
     return QfType(x.m, max_degree, {w: complex(tr / x.n) for w, tr in zip(words, traces)})
 

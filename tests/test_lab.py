@@ -339,6 +339,29 @@ def test_cli_eval_index_out_of_range(tmp_path, capsys, index):
     assert f"error: --index {index} is out of range" in capsys.readouterr().err
 
 
+def _empty_and_one_tuple_files(tmp_path):
+    empty, one = tmp_path / "empty.fige", tmp_path / "one.fige"
+    gibbs.save_ensemble(gibbs.Ensemble(np.zeros((0, 1, 2, 2), dtype=complex)), empty)
+    gibbs.save_ensemble(gibbs.Ensemble(np.zeros((1, 1, 2, 2), dtype=complex)), one)
+    return empty, one
+
+
+def test_cli_eval_rejects_an_empty_ensemble(tmp_path, capsys):
+    empty, _ = _empty_and_one_tuple_files(tmp_path)
+    code = cli_main(["eval", "--formula", "re tr(x1)", "--in", str(empty)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {empty}: the ensemble holds no tuples (count 0)\n"
+
+
+def test_cli_w2_rejects_an_empty_ensemble(tmp_path, capsys):
+    empty, one = _empty_and_one_tuple_files(tmp_path)
+    code = cli_main(["w2", "--a", str(one), "--b", str(empty)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {empty}: the ensemble holds no tuples (count 0)\n"
+
+
 @pytest.mark.parametrize("argv", [["eval", "--formula", "re tr(x1)", "--in", "a.fige"],
                                   ["w2", "--a", "a.fige", "--b", "b.fige"],
                                   ["sample"], ["entropy"]])
