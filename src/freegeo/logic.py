@@ -5,9 +5,8 @@ quantifiers over operator-norm balls, and a fixed library of continuous
 connectives.  Syntax: adjoint is a postfix prime (``x1'``), products inside
 ``tr(...)`` use an explicit ``*``, quantifiers read ``sup{y:1.0} body``.
 
-Atoms are compiled to slot words, and bound to their kernel per gradient
-slots, once per ``evaluate`` call; one kernel, ``trace_pass`` (``bind_trace``
-when bound), evaluates every trace polynomial from such words, following
+Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
+``trace_pass``, evaluates every trace polynomial from such words, following
 a plan it compiles once per set of words: duplicate words merged, each
 distinct matrix product built once, adjoints read as conjugate transposes
 and values as O(n^2) contractions.  ``qf_type`` reads every word's moment
@@ -782,10 +781,10 @@ def evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None = None) -> flo
     projected multistart gradient search over the operator-norm ball, driven
     by the analytic gradient (cyclic derivative plus envelope rule), so the
     result is one-sided up to optimizer error when the quantifier's body is
-    quantifier-free.  Each ascent stops once its gradient mapping certifies
-    that no line-search trial could gain more than 1e-15 (see ``_ascend``),
-    or when its step falls below opts.tol times the radius.  Each atom binds
-    its trace kernel once per call.  Deterministic given opts.seed.
+    quantifier-free.  Each ascent stops before a line-search trial whose
+    first-order gain is at most the acceptance margin of 1e-15, which for a
+    concave body no trial could beat (see ``_ascend``), or when its step
+    falls below opts.tol times the radius.  Deterministic given opts.seed.
     """
     return _evaluate(f, x, opts, None)[0]
 
@@ -823,8 +822,6 @@ def _evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None, slots):
 class _SlotAtom(Formula):
     terms: tuple[Term, ...]
     take_real: bool
-    # bind_trace(terms, slots) per gradient slots asked for; an atom lives for one evaluate
-    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -871,17 +868,13 @@ def _eval_node(f, env, opts, slots=None):
 
     The gradient is taken with respect to the slots in ``slots`` and stacked
     as a (len(slots), n, n) array; it is None when ``slots`` is None.  Atoms
-    take the cyclic derivative from their kernel, bound once per gradient
-    slots (``bind_trace``), connectives the chain rule, and quantifiers the
-    envelope rule (see ``_eval_quant``).
+    take the cyclic derivative from ``trace_pass``, connectives the chain
+    rule, and quantifiers the envelope rule (see ``_eval_quant``).
     """
     if isinstance(f, Const):
         return f.value, _zero_gradient(env, slots)
     if isinstance(f, _SlotAtom):
-        kernel = f.kernels.get(slots)
-        if kernel is None:
-            kernel = f.kernels[slots] = bind_trace(f.terms, slots)
-        val, grad = kernel(env)
+        val, grad = trace_pass(f.terms, env, slots)
         if not f.take_real:
             scale = max(1.0, abs(val))
             if abs(val.imag) > _IMAG_TOL * scale:
@@ -1033,12 +1026,16 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
 
     The ascent ends on a projected-gradient certificate: before a trial
     y+ = P(y + s g/|g|) is evaluated (P the projection onto the balls, s the
-    step), its gradient mapping q = |g| |y+ - y| / s is compared with
-    sqrt(2 n _GAIN_MARGIN), and at or below that the ascent stops at y
-    without calling ``value``.  That costs one projection.  The backstops
-    are ``opts.iters`` accepted steps and a step halved below
-    max(opts.tol * radius, 1e-14), which is how an ascent at a kink of its
-    value ends.  A gradient norm below 1e-14 n or not finite also ends it.
+    step), its first-order gain re tr_n(g^* (y+ - y)) is compared with
+    ``_GAIN_MARGIN``, and at or below it the ascent stops at y without
+    calling ``value``.  That costs one projection.  For a concave value the
+    first-order gain bounds what the trial can gain, and it only shrinks
+    with the step, so no later trial could have been accepted either; like
+    the acceptance test, it compares a gain in the value's own units with
+    the margin.  The backstops are ``opts.iters`` accepted steps and a step
+    halved below max(opts.tol * radius, 1e-14), which is how an ascent at a
+    kink of its value ends.  A gradient norm below 1e-14 n or not finite
+    also ends it.
 
     ``gradient`` is the tr_n gradient, n times the entrywise one.  It is
     only called with the very array passed to the latest ``value`` call, so
@@ -1051,14 +1048,6 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
     n = y.shape[-1]
     step = opts.step if opts.step is not None else radius
     min_step = max(opts.tol * radius, 1e-14)
-    # Near a maximum of tr_n curvature c the gradient mapping is about c|d|
-    # for a point |d| away, and the value still to gain about c|d|^2 / (2n),
-    # that is q^2 / (2nc).  At unit curvature a q below this bound leaves a
-    # gain under the acceptance margin, which no trial could show.  Rounding
-    # in the value makes the line search stall at about this q: medians of
-    # 2e-8 to 1.1e-7 for the distance predicate at n = 2 to 32, where the
-    # bound is 6e-8 to 2.5e-7.
-    stationary = math.sqrt(2 * n * _GAIN_MARGIN)
     for _ in range(opts.iters):
         g = gradient(y)
         gnorm = np.linalg.norm(g)
@@ -1068,7 +1057,7 @@ def _ascend(value, gradient, y0: np.ndarray, radius: float, opts: EvalOptions):
         improved = False
         while step >= min_step:
             y_new = _project_ball(y + step * direction, radius)
-            if gnorm * np.linalg.norm(y_new - y) <= stationary * step:
+            if np.vdot(g, y_new - y).real <= n * _GAIN_MARGIN:  # n times the first-order gain
                 break
             f_new = value(y_new)
             if f_new > fy + _GAIN_MARGIN:
