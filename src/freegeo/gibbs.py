@@ -6,15 +6,19 @@ polynomial's value and its cyclic-derivative gradient come from one call of
 words: duplicate words merged, each distinct product built once (the
 quadratic needs none, the quartic two), and each word's value read as an
 O(n^2) contraction of a product the gradient also uses.  Sampling is
-Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays, with
-step adaptation during burn-in only, so the recorded chain satisfies detailed
-balance.  A chain binds its potential once (``Potential.bind``: the plan and
-the coefficient sums of ``logic.bind_trace``); each step then makes one
-value-and-gradient call, one ``standard_normal`` draw that fills both noise
-halves and one ``random`` draw for the acceptance test, and does its
-arithmetic in reused buffers.  These are the same floating-point operations
-and draws as a step that allocates, so the chain's bits do not depend on the
-buffering.
+Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays.  The
+step starts at the dimension-scaled 0.5 (2mn^2)^(-1/3) / (c n^2) and is tuned
+during burn-in only, by dual averaging of its log toward the middle of the
+target acceptance window (Hoffman and Gelman 2014), then frozen at the
+averaged iterate.  A pilot at the frozen step measures the acceptance the
+chain reports and the autocorrelation time that sets thinning, so the
+recorded chain satisfies detailed balance at a measured step.  A chain binds
+its potential once (``Potential.bind``: the plan and the coefficient sums of
+``logic.bind_trace``); each step then makes one value-and-gradient call, one
+``standard_normal`` draw that fills both noise halves and one ``random`` draw
+for the acceptance test, and does its arithmetic in reused buffers.  These
+are the same floating-point operations and draws as a step that allocates, so
+the chain's bits do not depend on the buffering.
 """
 
 from __future__ import annotations
@@ -276,11 +280,23 @@ def load_ensemble(path) -> Ensemble:
 # ---------------------------------------------------------------------------
 # MALA sampler
 
+# Dual averaging of the log step: the constants Hoffman and Gelman recommend
+# (JMLR 15, 2014, section 3.2).
+_DA_GAMMA = 0.05
+_DA_T0 = 10
+_DA_KAPPA = 0.75
+# The averaging keeps log tau at most log 16 below the step it (re)started
+# from, so that it cannot chase a step toward zero, where every proposal is
+# accepted and the chain does not move.  Only a collapsed window lowers the
+# step further: it halves it and restarts the averaging there.
+_DA_SPAN = math.log(16.0)
+_WINDOW = 50  # steps per acceptance-collapse window
+
 
 @dataclass(frozen=True)
 class SamplerOptions:
     seed: Seed = field(default_factory=Seed)
-    step: float | None = None  # initial tau; default 0.5 / (c n^2)
+    step: float | None = None  # initial tau; default 0.5 (2mn^2)^(-1/3) / (c n^2)
     adapt_steps: int = 800
     pilot_steps: int = 600
     thin: int | None = None  # default 2x the integrated autocorrelation time
@@ -327,8 +343,10 @@ def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> 
 def _iat(series: np.ndarray) -> float:
     """Integrated autocorrelation time by the standard windowing rule."""
     x = np.asarray(series, dtype=float)
+    if x.size < 8:
+        return 1.0
     x = x - x.mean()
-    if x.size < 8 or np.allclose(x, 0):
+    if np.allclose(x, 0):
         return 1.0
     acf = np.correlate(x, x, mode="full")[x.size - 1 :]
     if acf[0] <= 0:
@@ -346,10 +364,17 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
                  opts: SamplerOptions | None = None) -> Ensemble:
     """MALA chain targeting density proportional to exp(-n^2 pot(X)).
 
-    Step size adapts toward the target acceptance window during burn-in and
-    is frozen afterwards; burn-in is extended by 10x the pilot-estimated
-    autocorrelation time, and output is thinned so samples are near
-    independent.  Fully deterministic given the seed.
+    Phase 1 (``adapt_steps``) moves log tau by dual averaging toward the
+    middle of ``target_accept``, fed each step's min(1, e^{log alpha}), and
+    freezes tau at the averaged iterate.  The averaging keeps tau at or
+    above 1/16 of the step it (re)started from; a 50-step window accepting
+    less than ``collapse_threshold`` halves tau and restarts the averaging
+    there, and more than ``max_halvings`` halvings raise ``SamplerError``.
+    Phase 2, a pilot of ``pilot_steps`` at the frozen tau, gives
+    ``adapt_final_rate`` (its acceptance) and the autocorrelation time;
+    burn-in runs on to 10x that time, counting the pilot, and output is
+    thinned so samples are near independent.  Fully deterministic given the
+    seed.
     """
     opts = opts or SamplerOptions()
     if count < 1:
@@ -366,7 +391,10 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     rng = opts.seed.derive(1).rng()
     kernel = pot.bind(m)
-    tau = opts.step if opts.step is not None else 0.5 / (pot.c * n * n)
+    # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
+    # and Rosenthal, JRSS-B 60, 1998)
+    tau = (opts.step if opts.step is not None
+           else 0.5 * (2 * m * n * n) ** (-1 / 3) / (pot.c * n * n))
     nn = n * n
     # the chain state is raw (m, n, n) arrays; the energy is n^2 phi
     x = np.zeros((m, n, n), dtype=np.complex128)
@@ -374,8 +402,6 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     v_x, g_x = nn * v_x, g_x * nn
 
     halvings = 0
-    accept_window: list[float] = []
-    final_rate = None
     stat_series: list[float] = []
     accepted_total = 0
     proposed_total = 0
@@ -392,7 +418,10 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         return np.vdot(d, d).real / n
 
     def mala_step(x, v_x, g_x, prop, tau):
-        """One MALA step from x; ``prop`` is a free state buffer, returned free."""
+        """One MALA step from x; ``prop`` is a free state buffer, returned free.
+
+        Also returns the acceptance probability min(1, e^{log alpha}), with a
+        NaN log alpha (a rejected proposal) counted as 0."""
         rng.standard_normal(out=gauss)
         np.multiply(gauss[0], sqrt_n, out=noise.real)
         np.multiply(gauss[1], sqrt_n, out=noise.imag)
@@ -405,19 +434,26 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         np.subtract(prop, fwd, out=fwd)
         np.subtract(x, bwd, out=bwd)
         log_alpha = v_x - v_p + (-sq_norm(bwd) + sq_norm(fwd)) / (4 * tau)
+        alpha = 1.0 if log_alpha >= 0 else (math.exp(log_alpha) if log_alpha < 0 else 0.0)
         if math.log(max(rng.random(), 1e-300)) < log_alpha:
-            return prop, v_p, g_p, x, True
-        return x, v_x, g_x, prop, False
+            return prop, v_p, g_p, x, True, alpha
+        return x, v_x, g_x, prop, False, alpha
 
-    # phase 1: adaptation
-    for step_idx in range(opts.adapt_steps):
-        x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
-        accept_window.append(1.0 if ok else 0.0)
-        if len(accept_window) >= 50:
-            rate = final_rate = float(np.mean(accept_window))
-            accept_window.clear()
-            lo, hi = opts.target_accept
-            if rate < opts.collapse_threshold:
+    # phase 1: dual averaging of log tau toward the middle of the target window
+    target = 0.5 * (opts.target_accept[0] + opts.target_accept[1])
+    mu = log_avg = math.log(tau)
+    t, h_bar, window_accepts = 0, 0.0, 0
+    for step_idx in range(1, opts.adapt_steps + 1):
+        x, v_x, g_x, prop, ok, alpha = mala_step(x, v_x, g_x, prop, tau)
+        window_accepts += ok
+        t += 1
+        h_bar += (target - alpha - h_bar) / (t + _DA_T0)
+        log_tau = max(mu - _DA_SPAN, mu - math.sqrt(t) / _DA_GAMMA * h_bar)
+        eta = t ** -_DA_KAPPA
+        log_avg = eta * log_tau + (1.0 - eta) * log_avg
+        tau = math.exp(log_tau)
+        if step_idx % _WINDOW == 0:
+            if window_accepts < opts.collapse_threshold * _WINDOW:
                 tau /= 2.0
                 halvings += 1
                 if halvings > opts.max_halvings:
@@ -425,26 +461,31 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
                         f"acceptance collapsed below {opts.collapse_threshold} "
                         f"after {halvings} step halvings (tau={tau:.3e})"
                     )
-            elif rate < lo:
-                tau /= 1.4
-            elif rate > hi:
-                tau *= 1.4
+                # restart the averaging from the halved step
+                mu = log_avg = math.log(tau)
+                t, h_bar = 0, 0.0
+            window_accepts = 0
+    tau = math.exp(log_avg)
 
-    # phase 2: pilot for autocorrelation (step frozen from here on)
+    # phase 2: pilot at the frozen step, for its acceptance and autocorrelation
+    pilot_accepts = 0
     for _ in range(opts.pilot_steps):
-        x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
+        x, v_x, g_x, prop, ok, _ = mala_step(x, v_x, g_x, prop, tau)
+        pilot_accepts += ok
         stat_series.append(v_x)
+    final_rate = pilot_accepts / opts.pilot_steps if opts.pilot_steps else None
     tau_int = _iat(np.array(stat_series))
     thin = opts.thin if opts.thin is not None else max(1, int(math.ceil(2 * tau_int)))
-    extra_burn = int(math.ceil(10 * tau_int))
+    # the pilot already ran at the frozen kernel, so it counts as burn-in
+    extra_burn = max(0, int(math.ceil(10 * tau_int)) - opts.pilot_steps)
     for _ in range(extra_burn):
-        x, v_x, g_x, prop, _ = mala_step(x, v_x, g_x, prop, tau)
+        x, v_x, g_x, prop, *_ = mala_step(x, v_x, g_x, prop, tau)
 
     # phase 3: recording
     out = np.empty((count, m, n, n), dtype=np.complex128)
     for i in range(count):
         for _ in range(thin):
-            x, v_x, g_x, prop, ok = mala_step(x, v_x, g_x, prop, tau)
+            x, v_x, g_x, prop, ok, _ = mala_step(x, v_x, g_x, prop, tau)
             proposed_total += 1
             accepted_total += 1 if ok else 0
         out[i] = x
@@ -458,7 +499,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         "thin": thin,
         "ess": min(ess, float(count)),
         "halvings": halvings,
-        # the last 50-step adaptation window; None if adaptation was shorter
+        # acceptance of the pilot at the frozen step; None without a pilot
         "adapt_final_rate": final_rate,
         "adapt_in_window": (final_rate is not None
                             and opts.target_accept[0] <= final_rate <= opts.target_accept[1]),
@@ -516,7 +557,8 @@ class TailReport:
 
 
 def norm_tail_check(e: Ensemble, c: float, deltas=None) -> TailReport:
-    """Smallest Theta with ``freq{||X_j - mean|| >= c^{-1/2}(Theta + delta)} <= 2 exp(-n delta^2)``."""
+    """Smallest Theta with ``freq{||X_j - mean|| > c^{-1/2}(Theta + delta)} <= 2 exp(-n delta^2)``
+    at every grid point delta."""
     deltas = np.asarray(deltas if deltas is not None else np.linspace(0.1, 1.5, 8))
     mean = e.mean_tuple()
     stats = np.array([
@@ -530,14 +572,15 @@ def norm_tail_check(e: Ensemble, c: float, deltas=None) -> TailReport:
     for d in deltas:
         bound = 2.0 * math.exp(-e.n * d * d)
         allowed = int(math.floor(min(bound, 1.0) * total))
-        # smallest threshold with at most `allowed` exceedances
+        # at most `allowed` statistics lie strictly above the threshold when it
+        # sits at the (allowed + 1)-th largest
         idx = total - allowed
         t_d = stats[idx - 1] - d if idx >= 1 else 0.0
         theta = max(theta, t_d)
     theta = max(theta, 0.0)
-    freqs = np.array([
-        float(np.mean(stats >= theta + d)) for d in deltas
-    ])
+    # compared in the form theta was computed in, stats - delta, so that no
+    # rounding of theta + delta lets the statistic that set theta exceed it
+    freqs = np.array([float(np.mean(stats - d > theta)) for d in deltas])
     bounds = np.array([min(2.0 * math.exp(-e.n * d * d), 1.0) for d in deltas])
     return TailReport(theta, deltas, freqs, bounds)
 

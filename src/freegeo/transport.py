@@ -246,10 +246,6 @@ class Quantile1D:
         arr.setflags(write=False)
         object.__setattr__(self, "support", arr)
 
-    @classmethod
-    def from_eigs(cls, mat: np.ndarray) -> "Quantile1D":
-        return cls(np.linalg.eigvalsh(np.asarray(mat)))
-
     @property
     def count(self) -> int:
         return self.support.size

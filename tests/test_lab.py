@@ -201,7 +201,7 @@ def test_moment_quantiles_ndtri_equal_norm_ppf(kq):
 
 
 # sha256 of the JSON of (metrics, series) of the matrix-scale report below
-MATRIX_SCALE_GOLDEN = "ce3c3b00911f6f5edf003f7e8dc39d4d3d8eb6da00150bf1200f287c7840f979"
+MATRIX_SCALE_GOLDEN = "bd954c8f23fd4c3247f573567df16d85304bdb9d2be1e868e408a2019d1efa00"
 
 
 def test_moment_matrix_scale_flag():
