@@ -125,6 +125,7 @@ def gibbs_entropy(pot: Potential, n: int, m: int, seed: Seed = Seed(),
         "c": pot.c,
         "volume_convention": "tr_n-orthonormal Lebesgue (entrywise offset -m n^2 log n)",
         "log_z_reference": log_z_ref,
+        "final_chain": dict(final.diagnostics),
     }
     return EntropyReport(h_n, log_z, mean_pot, error_bar, ladder, meta)
 

@@ -16,9 +16,13 @@ recorded chain satisfies detailed balance at a measured step.  A chain binds
 its potential once (``Potential.bind``: the plan and the coefficient sums of
 ``logic.bind_trace``); each step then makes one value-and-gradient call, one
 ``standard_normal`` draw that fills both noise halves and one ``random`` draw
-for the acceptance test, and does its arithmetic in reused buffers.  These
-are the same floating-point operations and draws as a step that allocates, so
-the chain's bits do not depend on the buffering.
+for the acceptance test, and does its arithmetic in reused buffers.  The chain
+runs in phi units: it uses phi and its tr_n gradient g as the kernel returns
+them, with the step sigma = n^2 tau.  The acceptance ratio comes from the
+identity |d + tau grad E_x|^2 - |d - tau grad E_y|^2 = 2 tau <d, grad E_x +
+grad E_y> + tau^2 (|grad E_x|^2 - |grad E_y|^2) for the increment d = y - x
+and the energy E = n^2 phi, with |g|^2 carried along with the state, so a step
+makes seven array passes besides the draw and the kernel.
 """
 
 from __future__ import annotations
@@ -373,14 +377,19 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     Phase 2, a pilot of ``pilot_steps`` at the frozen tau, gives
     ``adapt_final_rate`` (its acceptance) and the autocorrelation time;
     burn-in runs on to 10x that time, counting the pilot, and output is
-    thinned so samples are near independent.  Fully deterministic given the
-    seed.
+    thinned so samples are near independent.  The chain itself steps by
+    sigma = n^2 tau (phi units, see the module docstring); ``diagnostics``
+    report tau as ``step`` and every MALA step of the chain as ``steps``.  A
+    potential that uses more than m slots raises ``ValueError``.  Fully
+    deterministic given the seed.
     """
     opts = opts or SamplerOptions()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if pot.c <= 0:
         raise SamplerError("sampler requires a strongly convex potential (c > 0)")
+    if isinstance(pot, Potential) and pot._m() > m:
+        raise ValueError(f"the potential uses {pot._m()} matrix slots but m = {m}")
     viol = _convexity_spot(pot.value, pot.c, min(n, 8), m, opts.seed.derive(0),
                            opts.convexity_spot_pairs)
     if viol > 1e-8:
@@ -391,15 +400,15 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     rng = opts.seed.derive(1).rng()
     kernel = pot.bind(m)
-    # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
-    # and Rosenthal, JRSS-B 60, 1998)
-    tau = (opts.step if opts.step is not None
-           else 0.5 * (2 * m * n * n) ** (-1 / 3) / (pot.c * n * n))
     nn = n * n
-    # the chain state is raw (m, n, n) arrays; the energy is n^2 phi
+    # sigma = n^2 tau is the step in phi units: tau grad(n^2 phi) = sigma g.
+    # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
+    # and Rosenthal, JRSS-B 60, 1998).
+    sigma = (opts.step * nn if opts.step is not None
+             else 0.5 * (2 * m * nn) ** (-1 / 3) / pot.c)
     x = np.zeros((m, n, n), dtype=np.complex128)
     v_x, g_x = kernel(x)
-    v_x, g_x = nn * v_x, g_x * nn
+    gg_x = np.vdot(g_x, g_x).real / n
 
     halvings = 0
     stat_series: list[float] = []
@@ -408,88 +417,92 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     # Reused per-step buffers.  Standard Gaussian noise in the tr_n real inner
     # product has entries sqrt(n)(g1 + i g2), since the orthonormal coordinates
-    # are entries/sqrt(n); g1 and g2 come from one draw, in that order.
+    # are entries/sqrt(n); g1 and g2 come from one (2, m, n, n) draw.  Its
+    # transposed (mn^2, 2) view is scaled straight into the real view of the
+    # complex increment d; Fortran order runs the loop along the long axis.
     gauss = np.empty((2, m, n, n))
-    noise = np.empty((m, n, n), dtype=np.complex128)
-    fwd, bwd, prop = (np.empty((m, n, n), dtype=np.complex128) for _ in range(3))
-    sqrt_n = math.sqrt(n)
+    gauss_t = gauss.reshape(2, -1).T
+    d = np.empty((m, n, n), dtype=np.complex128)
+    d_t = d.view(np.float64).reshape(-1, 2)
+    prop, g_sum = (np.empty((m, n, n), dtype=np.complex128) for _ in range(2))
 
-    def sq_norm(d):
-        return np.vdot(d, d).real / n
-
-    def mala_step(x, v_x, g_x, prop, tau):
+    def mala_step(x, v_x, g_x, gg_x, prop, sigma):
         """One MALA step from x; ``prop`` is a free state buffer, returned free.
 
-        Also returns the acceptance probability min(1, e^{log alpha}), with a
-        NaN log alpha (a rejected proposal) counted as 0."""
+        The proposal is y = x + d with d = sqrt(2 sigma/n)(g1 + i g2) - sigma g_x,
+        and the module docstring's identity gives log alpha = n^2 [phi(x) -
+        phi(y) + <d, g_x + g_y>/2 + sigma (|g_x|^2 - |g_y|^2)/4] in the tr_n
+        inner product.  Also returns the acceptance probability
+        min(1, e^{log alpha}), with a NaN log alpha (a rejected proposal)
+        counted as 0."""
         rng.standard_normal(out=gauss)
-        np.multiply(gauss[0], sqrt_n, out=noise.real)
-        np.multiply(gauss[1], sqrt_n, out=noise.imag)
-        np.add(x, np.multiply(g_x, -tau, out=fwd), out=fwd)  # forward mean
-        np.add(fwd, np.multiply(noise, math.sqrt(2 * tau), out=noise), out=prop)
+        np.multiply(gauss_t, math.sqrt(2 * sigma / n), out=d_t, order="F")
+        np.subtract(d, np.multiply(g_x, sigma, out=prop), out=d)
+        np.add(x, d, out=prop)
         v_p, g_p = kernel(prop)
-        v_p = nn * v_p
-        np.multiply(g_p, nn, out=g_p)
-        np.add(prop, np.multiply(g_p, -tau, out=bwd), out=bwd)  # backward mean
-        np.subtract(prop, fwd, out=fwd)
-        np.subtract(x, bwd, out=bwd)
-        log_alpha = v_x - v_p + (-sq_norm(bwd) + sq_norm(fwd)) / (4 * tau)
+        gg_p = np.vdot(g_p, g_p).real / n
+        dg = np.vdot(d, np.add(g_x, g_p, out=g_sum)).real / n
+        log_alpha = nn * (v_x - v_p + 0.5 * dg + 0.25 * sigma * (gg_x - gg_p))
         alpha = 1.0 if log_alpha >= 0 else (math.exp(log_alpha) if log_alpha < 0 else 0.0)
         if math.log(max(rng.random(), 1e-300)) < log_alpha:
-            return prop, v_p, g_p, x, True, alpha
-        return x, v_x, g_x, prop, False, alpha
+            return prop, v_p, g_p, gg_p, x, True, alpha
+        return x, v_x, g_x, gg_x, prop, False, alpha
 
-    # phase 1: dual averaging of log tau toward the middle of the target window
+    # phase 1: dual averaging of log sigma toward the middle of the target
+    # window; log sigma is log tau shifted by log n^2, so the span and the
+    # halvings mean the same in either unit
     target = 0.5 * (opts.target_accept[0] + opts.target_accept[1])
-    mu = log_avg = math.log(tau)
+    mu = log_avg = math.log(sigma)
     t, h_bar, window_accepts = 0, 0.0, 0
     for step_idx in range(1, opts.adapt_steps + 1):
-        x, v_x, g_x, prop, ok, alpha = mala_step(x, v_x, g_x, prop, tau)
+        x, v_x, g_x, gg_x, prop, ok, alpha = mala_step(x, v_x, g_x, gg_x, prop, sigma)
         window_accepts += ok
         t += 1
         h_bar += (target - alpha - h_bar) / (t + _DA_T0)
-        log_tau = max(mu - _DA_SPAN, mu - math.sqrt(t) / _DA_GAMMA * h_bar)
+        log_sigma = max(mu - _DA_SPAN, mu - math.sqrt(t) / _DA_GAMMA * h_bar)
         eta = t ** -_DA_KAPPA
-        log_avg = eta * log_tau + (1.0 - eta) * log_avg
-        tau = math.exp(log_tau)
+        log_avg = eta * log_sigma + (1.0 - eta) * log_avg
+        sigma = math.exp(log_sigma)
         if step_idx % _WINDOW == 0:
             if window_accepts < opts.collapse_threshold * _WINDOW:
-                tau /= 2.0
+                sigma /= 2.0
                 halvings += 1
                 if halvings > opts.max_halvings:
                     raise SamplerError(
                         f"acceptance collapsed below {opts.collapse_threshold} "
-                        f"after {halvings} step halvings (tau={tau:.3e})"
+                        f"after {halvings} step halvings (tau={sigma / nn:.3e})"
                     )
                 # restart the averaging from the halved step
-                mu = log_avg = math.log(tau)
+                mu = log_avg = math.log(sigma)
                 t, h_bar = 0, 0.0
             window_accepts = 0
-    tau = math.exp(log_avg)
+    sigma = math.exp(log_avg)
 
     # phase 2: pilot at the frozen step, for its acceptance and autocorrelation
+    # of the energy n^2 phi
     pilot_accepts = 0
     for _ in range(opts.pilot_steps):
-        x, v_x, g_x, prop, ok, _ = mala_step(x, v_x, g_x, prop, tau)
+        x, v_x, g_x, gg_x, prop, ok, _ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
         pilot_accepts += ok
-        stat_series.append(v_x)
+        stat_series.append(nn * v_x)
     final_rate = pilot_accepts / opts.pilot_steps if opts.pilot_steps else None
     tau_int = _iat(np.array(stat_series))
     thin = opts.thin if opts.thin is not None else max(1, int(math.ceil(2 * tau_int)))
     # the pilot already ran at the frozen kernel, so it counts as burn-in
     extra_burn = max(0, int(math.ceil(10 * tau_int)) - opts.pilot_steps)
     for _ in range(extra_burn):
-        x, v_x, g_x, prop, *_ = mala_step(x, v_x, g_x, prop, tau)
+        x, v_x, g_x, gg_x, prop, *_ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
 
     # phase 3: recording
     out = np.empty((count, m, n, n), dtype=np.complex128)
     for i in range(count):
         for _ in range(thin):
-            x, v_x, g_x, prop, ok, _ = mala_step(x, v_x, g_x, prop, tau)
+            x, v_x, g_x, gg_x, prop, ok, _ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
             proposed_total += 1
             accepted_total += 1 if ok else 0
         out[i] = x
 
+    tau = sigma / nn
     acc_rate = accepted_total / max(proposed_total, 1)
     ess = count * thin / (2.0 * tau_int)
     diagnostics = {
@@ -499,6 +512,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         "thin": thin,
         "ess": min(ess, float(count)),
         "halvings": halvings,
+        # every MALA step of the chain: adaptation, pilot, burn-in and recording
+        "steps": opts.adapt_steps + opts.pilot_steps + extra_burn + count * thin,
         # acceptance of the pilot at the frozen step; None without a pilot
         "adapt_final_rate": final_rate,
         "adapt_in_window": (final_rate is not None

@@ -192,10 +192,13 @@ def run_talagrand(cfg: RunConfig) -> Report:
 
     ratios = []
     rows = []
+    chains = []  # sampler diagnostics of the mu and nu chains per seed
     for s in range(cfg["seeds"]):
         seed = Seed(cfg["seed"], s)
         mu_ens = gibbs.sample_gibbs(base, n, m, samples, gibbs.SamplerOptions(seed=seed.derive(1)))
         nu_ens = gibbs.sample_gibbs(tilted, n, m, samples, gibbs.SamplerOptions(seed=seed.derive(2)))
+        chains += [{"seed": s, "measure": name, **ens.diagnostics}
+                   for name, ens in (("mu", mu_ens), ("nu", nu_ens))]
         _, plan = tp.empirical_w2(mu_ens, nu_ens)
         d2_raw = plan.cost
         bias = 0.5 * (_half_split_bias(mu_ens) + _half_split_bias(nu_ens))
@@ -216,6 +219,7 @@ def run_talagrand(cfg: RunConfig) -> Report:
         rows.append({"seed": s, "d2_raw": d2_raw, "bias": bias, "kl": kl,
                      "bound": bound, "ratio": ratio, "ratio_corrected": ratio_corr})
     report.series["seeds"] = rows
+    report.series["chains"] = chains
 
     mean_ratio = float(np.mean(ratios))
     if gamma == 0.0 and alpha != 0.0:
@@ -557,10 +561,12 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
     pot = gibbs.Potential.quadratic(cfg["c"], m)
 
     rows = []
+    chains = []  # sampler diagnostics, one row per n
     stds: dict[str, list[float]] = {text: [] for text in formulas}
     for idx, n in enumerate(ladder):
         ens = gibbs.sample_gibbs(pot, n, m, samples,
                                  gibbs.SamplerOptions(seed=Seed(cfg["seed"], idx)))
+        chains.append({"n": n, **ens.diagnostics})
         for text in formulas:
             ast = logic.parse(text)
             if not logic.is_quantifier_free(ast):
@@ -571,6 +577,7 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
             rows.append({"n": n, "formula": text, "std": sd, "std_times_n": sd * n,
                          "mean": float(vals.mean())})
     report.series["ladder"] = rows
+    report.series["chains"] = chains
 
     # relative sd of a std estimate is ~ 1/sqrt(2 (samples - 1))
     noise = 3.0 / math.sqrt(2.0 * (samples - 1))

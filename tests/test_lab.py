@@ -154,6 +154,15 @@ def test_talagrand_zero_tilt_degenerate():
     assert row["kl"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_talagrand_reports_each_chains_diagnostics():
+    cfg = RunConfig.from_dict("talagrand", {"n": 4, "samples": 8, "seeds": 2})
+    rep = ex.run_talagrand(cfg)
+    rows = rep.series["chains"]
+    assert [(r["seed"], r["measure"]) for r in rows] == [
+        (0, "mu"), (0, "nu"), (1, "mu"), (1, "nu")]
+    assert all(r["steps"] > 0 and 0 < r["acceptance_rate"] < 1 for r in rows)
+
+
 def test_geodesic_degenerate_pair_excluded():
     # s = t contributes nothing; the grid parser keeps distinct points only
     cfg = RunConfig.from_dict("geodesic", {"grid": "0.3,0.7", "samples": 1500, "seed": 1})
@@ -201,7 +210,7 @@ def test_moment_quantiles_ndtri_equal_norm_ppf(kq):
 
 
 # sha256 of the JSON of (metrics, series) of the matrix-scale report below
-MATRIX_SCALE_GOLDEN = "bd954c8f23fd4c3247f573567df16d85304bdb9d2be1e868e408a2019d1efa00"
+MATRIX_SCALE_GOLDEN = "474f06d082c7493c94fe6a418146ca27abab91a3c9ca1a247ef27bd4706e67c3"
 
 
 def test_moment_matrix_scale_flag():
@@ -266,6 +275,9 @@ def test_qfconv_constant_formula_zero_std():
     rep = ex.run_qf_convergence(cfg)
     assert all(r["std"] == 0.0 for r in rep.series["ladder"])
     assert rep.passed
+    # one row of sampler diagnostics per n
+    assert [r["n"] for r in rep.series["chains"]] == [4, 8]
+    assert all(r["thin"] >= 1 and r["steps"] > 0 for r in rep.series["chains"])
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +411,19 @@ def test_cli_entropy_subcommand(tmp_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["h_n"] == pytest.approx(math.log(2 * math.pi * math.e), abs=0.15)
+    # the final chain's sampler diagnostics ride along in the report
+    final = blob["meta"]["final_chain"]
+    assert final["steps"] > 0 and final["adapt_in_window"] in (True, False)
+
+
+@pytest.mark.parametrize("command", ["sample", "entropy"])
+def test_cli_rejects_a_potential_with_more_slots_than_m(tmp_path, capsys, command):
+    cfg_file = tmp_path / "two_slots.cfg"
+    cfg_file.write_text("potential = 0.5*re tr(x1*x1') + 0.5*re tr(x2*x2')\nm = 1\n")
+    code = cli_main([command, "--config", str(cfg_file), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: the potential uses 2 matrix slots but m = 1\n"
 
 
 # Runs in a fresh interpreter: the test process has scipy loaded already.
