@@ -11,7 +11,6 @@ normalization (the conversion from entrywise coordinates would be
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -67,8 +66,7 @@ def _mix_potential(pot_a: Potential, pot_b: Potential, lam: float) -> Potential:
 
 
 def thermo_delta(pot_a: Potential, pot_b: Potential, n: int, m: int,
-                 seed: Seed = Seed(), nodes: int = 16, samples_per_node: int = 128,
-                 sampler_opts: SamplerOptions | None = None):
+                 seed: Seed = Seed(), nodes: int = 16, samples_per_node: int = 128):
     """log Z_b - log Z_a by thermodynamic integration along the linear path.
 
     d/dlam log Z_lam = -n^2 E_lam[phi_b - phi_a]; the lambda integral uses a
@@ -83,8 +81,8 @@ def thermo_delta(pot_a: Potential, pot_b: Potential, n: int, m: int,
     var_total = 0.0
     for k, (lam, w) in enumerate(zip(lams, weights)):
         pot_lam = _mix_potential(pot_a, pot_b, float(lam))
-        opts = dataclasses.replace(sampler_opts or SamplerOptions(), seed=seed.derive(k + 1))
-        ens = sample_gibbs(pot_lam, n, m, samples_per_node, opts)
+        ens = sample_gibbs(pot_lam, n, m, samples_per_node,
+                           SamplerOptions(seed=seed.derive(k + 1)))
         dvals = np.array([pot_b.value(t) - pot_a.value(t) for t in ens.tuples()])
         ess = max(ens.diagnostics.get("ess", len(dvals)), 1.0)
         mean_d = float(dvals.mean())

@@ -12,17 +12,19 @@ during burn-in only, by dual averaging of its log toward the middle of the
 target acceptance window (Hoffman and Gelman 2014), then frozen at the
 averaged iterate.  A pilot at the frozen step measures the acceptance the
 chain reports and the autocorrelation time that sets thinning, so the
-recorded chain satisfies detailed balance at a measured step.  A chain binds
-its potential once (``Potential.bind``: the plan and the coefficient sums of
-``logic.bind_trace``); each step then makes one value-and-gradient call, one
-``standard_normal`` draw that fills both noise halves and one ``random`` draw
-for the acceptance test, and does its arithmetic in reused buffers.  The chain
-runs in phi units: it uses phi and its tr_n gradient g as the kernel returns
-them, with the step sigma = n^2 tau.  The acceptance ratio comes from the
-identity |d + tau grad E_x|^2 - |d - tau grad E_y|^2 = 2 tau <d, grad E_x +
-grad E_y> + tau^2 (|grad E_x|^2 - |grad E_y|^2) for the increment d = y - x
-and the energy E = n^2 phi, with |g|^2 carried along with the state, so a step
-makes seven array passes besides the draw and the kernel.
+recorded chain satisfies detailed balance at a measured step.  The sampler
+asks three things of a potential: ``c``, ``formula_text()`` and ``bind(m)``,
+the value-and-gradient kernel a chain binds once; for ``Potential`` that is
+the ``logic.bind_trace`` kernel itself (the plan and the coefficient sums bound
+once).  The chain state lives in the step's closure; each step makes one
+kernel call, one ``standard_normal`` draw that fills both noise halves and one
+``random`` draw for the acceptance test, and does its arithmetic in reused
+buffers.  The chain runs in phi units: it uses phi and its tr_n gradient g
+as the kernel returns them, with the step sigma = n^2 tau.  The acceptance
+ratio comes from the identity |d + tau grad E_x|^2 - |d - tau grad E_y|^2 =
+2 tau <d, grad E_x + grad E_y> + tau^2 (|grad E_x|^2 - |grad E_y|^2) for the
+increment d = y - x and the energy E = n^2 phi, with |g|^2 carried along with
+the state, so a step makes seven array passes besides the draw and the kernel.
 """
 
 from __future__ import annotations
@@ -137,20 +139,14 @@ class Potential:
     def gradient(self, x: MatrixTuple) -> MatrixTuple:
         return MatrixTuple(logic.trace_pass(self.terms, x.entries, range(x.m))[1])
 
-    def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
-        """phi and its tr_n gradient at the (m, n, n) array ``entries``, in one pass."""
-        return self.bind(len(entries))(entries)
-
     def bind(self, m: int):
-        """``value_and_gradient`` on (m, n, n) arrays, with the trace plan and the
-        coefficient sums bound once (``logic.bind_trace``)."""
-        kernel = logic.bind_trace(self.terms, range(m))
-
-        def value_and_gradient(entries):
-            total, grad = kernel(entries)
-            return total.real, grad
-
-        return value_and_gradient
+        """The kernel ``entries -> (phi, tr_n gradient)`` on (m, n, n) arrays, with the
+        trace plan and the coefficient sums bound once: ``logic.bind_trace``
+        itself, so phi comes back complex and its real part is the value.  A
+        potential that uses more than m slots raises ``ValueError``."""
+        if self._m() > m:
+            raise ValueError(f"the potential uses {self._m()} matrix slots but m = {m}")
+        return logic.bind_trace(self.terms, range(m))
 
     def formula_text(self) -> str:
         """``re tr(...)`` text of phi; terms on the same word add."""
@@ -295,6 +291,9 @@ _DA_KAPPA = 0.75
 # step further: it halves it and restarts the averaging there.
 _DA_SPAN = math.log(16.0)
 _WINDOW = 50  # steps per acceptance-collapse window
+_COLLAPSE = 0.05  # a window accepting less than this share halves the step
+_TARGET_ACCEPT = (0.5, 0.7)  # the pilot's acceptance window; adaptation aims at its middle
+_THIN_IATS = 2  # recorded states are this many integrated autocorrelation times apart
 
 
 @dataclass(frozen=True)
@@ -303,28 +302,16 @@ class SamplerOptions:
     step: float | None = None  # initial tau; default 0.5 (2mn^2)^(-1/3) / (c n^2)
     adapt_steps: int = 800
     pilot_steps: int = 600
-    thin: int | None = None  # default 2x the integrated autocorrelation time
-    target_accept: tuple[float, float] = (0.5, 0.7)
-    collapse_threshold: float = 0.05
     max_halvings: int = 10
     convexity_spot_pairs: int = 12
 
     def __post_init__(self):
         if self.step is not None and not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be None or finite and > 0, got {self.step}")
-        if self.thin is not None and self.thin < 1:
-            raise ValueError(f"thin must be None or >= 1, got {self.thin}")
         if self.adapt_steps < 0:
             raise ValueError(f"adapt_steps must be >= 0, got {self.adapt_steps}")
         if self.pilot_steps < 0:
             raise ValueError(f"pilot_steps must be >= 0, got {self.pilot_steps}")
-        lo, hi = self.target_accept
-        if not 0.0 < lo <= hi < 1.0:
-            raise ValueError("target_accept must satisfy 0 < lo <= hi < 1, "
-                             f"got {self.target_accept}")
-        if not 0.0 < self.collapse_threshold < lo:
-            raise ValueError("collapse_threshold must satisfy 0 < t < target_accept[0] = "
-                             f"{lo}, got {self.collapse_threshold}")
         if self.max_halvings < 0:
             raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
         # zero pairs would switch the strong-convexity spot check off
@@ -333,15 +320,16 @@ class SamplerOptions:
                              f"{self.convexity_spot_pairs}")
 
 
-def _convexity_spot(value, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
-    """Max violation of the c-strong-convexity midpoint inequality on random pairs."""
+def _convexity_spot(kernel, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
+    """Max violation of the c-strong-convexity midpoint inequality on random pairs,
+    with phi from the chain's bound ``kernel``."""
     rng = seed.rng()
     triples = []
     for _ in range(pairs):
         a = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
         b = MatrixTuple(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
         triples.append((a, b, float(rng.uniform())))
-    return check_strong_convexity(value, c, triples).max_violation
+    return check_strong_convexity(lambda x: kernel(x.entries)[0].real, c, triples).max_violation
 
 
 def _iat(series: np.ndarray) -> float:
@@ -368,29 +356,29 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
                  opts: SamplerOptions | None = None) -> Ensemble:
     """MALA chain targeting density proportional to exp(-n^2 pot(X)).
 
-    Phase 1 (``adapt_steps``) moves log tau by dual averaging toward the
-    middle of ``target_accept``, fed each step's min(1, e^{log alpha}), and
-    freezes tau at the averaged iterate.  The averaging keeps tau at or
-    above 1/16 of the step it (re)started from; a 50-step window accepting
-    less than ``collapse_threshold`` halves tau and restarts the averaging
-    there, and more than ``max_halvings`` halvings raise ``SamplerError``.
-    Phase 2, a pilot of ``pilot_steps`` at the frozen tau, gives
-    ``adapt_final_rate`` (its acceptance) and the autocorrelation time;
-    burn-in runs on to 10x that time, counting the pilot, and output is
-    thinned so samples are near independent.  The chain itself steps by
-    sigma = n^2 tau (phi units, see the module docstring); ``diagnostics``
-    report tau as ``step`` and every MALA step of the chain as ``steps``.  A
-    potential that uses more than m slots raises ``ValueError``.  Fully
-    deterministic given the seed.
+    ``pot`` needs only ``c``, ``formula_text()`` and ``bind(m)``, the kernel
+    that maps an (m, n, n) array to phi (whose ``.real`` is taken) and its
+    tr_n gradient; the chain binds it once and runs the convexity spot check
+    through it too.  Phase 1 (``adapt_steps``) moves log tau by dual
+    averaging toward the middle of the acceptance window 0.5-0.7, fed each
+    step's min(1, e^{log alpha}), and freezes tau at the averaged iterate.
+    The averaging keeps tau at or above 1/16 of the step it (re)started
+    from; a 50-step window accepting less than 5% halves tau and restarts
+    the averaging there, and more than ``max_halvings`` halvings raise
+    ``SamplerError``.  Phase 2, a pilot of ``pilot_steps`` at the frozen
+    tau, gives ``adapt_final_rate`` (its acceptance) and the autocorrelation
+    time; burn-in runs on to 10x that time, counting the pilot, and output
+    is thinned to 2x that time so samples are near independent.  The chain
+    itself steps by sigma = n^2 tau (phi units, see the module docstring);
+    ``diagnostics`` report tau as ``step`` and every MALA step of the chain
+    as ``steps``.  A potential that uses more than m slots raises
+    ``ValueError``.  Fully deterministic given the seed.
     """
     opts = opts or SamplerOptions()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if pot.c <= 0:
-        raise SamplerError("sampler requires a strongly convex potential (c > 0)")
-    if isinstance(pot, Potential) and pot._m() > m:
-        raise ValueError(f"the potential uses {pot._m()} matrix slots but m = {m}")
-    viol = _convexity_spot(pot.value, pot.c, min(n, 8), m, opts.seed.derive(0),
+    kernel = pot.bind(m)
+    viol = _convexity_spot(kernel, pot.c, min(n, 8), m, opts.seed.derive(0),
                            opts.convexity_spot_pairs)
     if viol > 1e-8:
         raise SamplerError(
@@ -399,21 +387,12 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         )
 
     rng = opts.seed.derive(1).rng()
-    kernel = pot.bind(m)
     nn = n * n
     # sigma = n^2 tau is the step in phi units: tau grad(n^2 phi) = sigma g.
     # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
     # and Rosenthal, JRSS-B 60, 1998).
     sigma = (opts.step * nn if opts.step is not None
              else 0.5 * (2 * m * nn) ** (-1 / 3) / pot.c)
-    x = np.zeros((m, n, n), dtype=np.complex128)
-    v_x, g_x = kernel(x)
-    gg_x = np.vdot(g_x, g_x).real / n
-
-    halvings = 0
-    stat_series: list[float] = []
-    accepted_total = 0
-    proposed_total = 0
 
     # Reused per-step buffers.  Standard Gaussian noise in the tr_n real inner
     # product has entries sqrt(n)(g1 + i g2), since the orthonormal coordinates
@@ -426,36 +405,45 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     d_t = d.view(np.float64).reshape(-1, 2)
     prop, g_sum = (np.empty((m, n, n), dtype=np.complex128) for _ in range(2))
 
-    def mala_step(x, v_x, g_x, gg_x, prop, sigma):
-        """One MALA step from x; ``prop`` is a free state buffer, returned free.
+    # the chain state: x, phi(x), its gradient and |g_x|^2; prop is a free buffer
+    x = np.zeros((m, n, n), dtype=np.complex128)
+    v_x, g_x = kernel(x)
+    v_x = v_x.real
+    gg_x = np.vdot(g_x, g_x).real / n
+
+    def mala_step(sigma):
+        """One MALA step of the chain state; returns (accepted, alpha).
 
         The proposal is y = x + d with d = sqrt(2 sigma/n)(g1 + i g2) - sigma g_x,
         and the module docstring's identity gives log alpha = n^2 [phi(x) -
         phi(y) + <d, g_x + g_y>/2 + sigma (|g_x|^2 - |g_y|^2)/4] in the tr_n
-        inner product.  Also returns the acceptance probability
-        min(1, e^{log alpha}), with a NaN log alpha (a rejected proposal)
-        counted as 0."""
+        inner product.  alpha is the acceptance probability min(1, e^{log
+        alpha}), with a NaN log alpha (a rejected proposal) counted as 0."""
+        nonlocal x, v_x, g_x, gg_x, prop
         rng.standard_normal(out=gauss)
         np.multiply(gauss_t, math.sqrt(2 * sigma / n), out=d_t, order="F")
         np.subtract(d, np.multiply(g_x, sigma, out=prop), out=d)
         np.add(x, d, out=prop)
         v_p, g_p = kernel(prop)
+        v_p = v_p.real
         gg_p = np.vdot(g_p, g_p).real / n
         dg = np.vdot(d, np.add(g_x, g_p, out=g_sum)).real / n
         log_alpha = nn * (v_x - v_p + 0.5 * dg + 0.25 * sigma * (gg_x - gg_p))
         alpha = 1.0 if log_alpha >= 0 else (math.exp(log_alpha) if log_alpha < 0 else 0.0)
         if math.log(max(rng.random(), 1e-300)) < log_alpha:
-            return prop, v_p, g_p, gg_p, x, True, alpha
-        return x, v_x, g_x, gg_x, prop, False, alpha
+            x, prop = prop, x
+            v_x, g_x, gg_x = v_p, g_p, gg_p
+            return True, alpha
+        return False, alpha
 
     # phase 1: dual averaging of log sigma toward the middle of the target
     # window; log sigma is log tau shifted by log n^2, so the span and the
     # halvings mean the same in either unit
-    target = 0.5 * (opts.target_accept[0] + opts.target_accept[1])
+    target = 0.5 * (_TARGET_ACCEPT[0] + _TARGET_ACCEPT[1])
     mu = log_avg = math.log(sigma)
-    t, h_bar, window_accepts = 0, 0.0, 0
+    t, h_bar, window_accepts, halvings = 0, 0.0, 0, 0
     for step_idx in range(1, opts.adapt_steps + 1):
-        x, v_x, g_x, gg_x, prop, ok, alpha = mala_step(x, v_x, g_x, gg_x, prop, sigma)
+        ok, alpha = mala_step(sigma)
         window_accepts += ok
         t += 1
         h_bar += (target - alpha - h_bar) / (t + _DA_T0)
@@ -464,12 +452,12 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         log_avg = eta * log_sigma + (1.0 - eta) * log_avg
         sigma = math.exp(log_sigma)
         if step_idx % _WINDOW == 0:
-            if window_accepts < opts.collapse_threshold * _WINDOW:
+            if window_accepts < _COLLAPSE * _WINDOW:
                 sigma /= 2.0
                 halvings += 1
                 if halvings > opts.max_halvings:
                     raise SamplerError(
-                        f"acceptance collapsed below {opts.collapse_threshold} "
+                        f"acceptance collapsed below {_COLLAPSE} "
                         f"after {halvings} step halvings (tau={sigma / nn:.3e})"
                     )
                 # restart the averaging from the halved step
@@ -481,43 +469,40 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     # phase 2: pilot at the frozen step, for its acceptance and autocorrelation
     # of the energy n^2 phi
     pilot_accepts = 0
+    stat_series: list[float] = []
     for _ in range(opts.pilot_steps):
-        x, v_x, g_x, gg_x, prop, ok, _ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
-        pilot_accepts += ok
+        pilot_accepts += mala_step(sigma)[0]
         stat_series.append(nn * v_x)
     final_rate = pilot_accepts / opts.pilot_steps if opts.pilot_steps else None
     tau_int = _iat(np.array(stat_series))
-    thin = opts.thin if opts.thin is not None else max(1, int(math.ceil(2 * tau_int)))
+    thin = max(1, int(math.ceil(_THIN_IATS * tau_int)))
     # the pilot already ran at the frozen kernel, so it counts as burn-in
     extra_burn = max(0, int(math.ceil(10 * tau_int)) - opts.pilot_steps)
     for _ in range(extra_burn):
-        x, v_x, g_x, gg_x, prop, *_ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
+        mala_step(sigma)
 
     # phase 3: recording
     out = np.empty((count, m, n, n), dtype=np.complex128)
+    accepted_total = 0
     for i in range(count):
         for _ in range(thin):
-            x, v_x, g_x, gg_x, prop, ok, _ = mala_step(x, v_x, g_x, gg_x, prop, sigma)
-            proposed_total += 1
-            accepted_total += 1 if ok else 0
+            accepted_total += mala_step(sigma)[0]
         out[i] = x
 
     tau = sigma / nn
-    acc_rate = accepted_total / max(proposed_total, 1)
-    ess = count * thin / (2.0 * tau_int)
     diagnostics = {
-        "acceptance_rate": acc_rate,
+        "acceptance_rate": accepted_total / (count * thin),
         "step": tau,
         "iat": tau_int,
         "thin": thin,
-        "ess": min(ess, float(count)),
+        "ess": min(count * thin / (2.0 * tau_int), float(count)),
         "halvings": halvings,
         # every MALA step of the chain: adaptation, pilot, burn-in and recording
         "steps": opts.adapt_steps + opts.pilot_steps + extra_burn + count * thin,
         # acceptance of the pilot at the frozen step; None without a pilot
         "adapt_final_rate": final_rate,
         "adapt_in_window": (final_rate is not None
-                            and opts.target_accept[0] <= final_rate <= opts.target_accept[1]),
+                            and _TARGET_ACCEPT[0] <= final_rate <= _TARGET_ACCEPT[1]),
     }
     text = pot.formula_text()
     provenance = {

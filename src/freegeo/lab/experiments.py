@@ -342,8 +342,8 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
     t_reg = cfg["t"]
     iters = cfg["iterations"]
     kq = cfg["quantiles"]
-    if t_reg <= 0:
-        raise ValueError("regularization t must be positive")
+    if not 0 < t_reg < math.inf:
+        raise ValueError(f"regularization t must be finite and > 0, got {t_reg}")
     if cfg["matrix_scale"]:
         return run_moment_matrix_scale(cfg)
     from scipy.special import ndtri  # the Gaussian quantile that norm.ppf calls
@@ -439,8 +439,10 @@ class _EnvelopePotential:
     ball of the given radius runs on ``logic._ascend`` warm-started from the
     last maximizer, so once that ascent moves the value depends on the query
     history and can break convexity slightly (midpoint violations of a few
-    1e-3 at ``type_epsilon`` 0.2).  Duck-types the sampler's Potential
-    interface.
+    1e-3 at ``type_epsilon`` 0.2).  A query of another size than the last
+    one (the sampler's convexity spot check runs at min(n, 8)) restarts from
+    the target a I at its own size.  Meets the sampler's potential contract:
+    ``c``, ``formula_text()`` and ``bind(m)``.
     """
 
     def __init__(self, target: np.ndarray, t: float, eps: float, radius: float,
@@ -484,20 +486,22 @@ class _EnvelopePotential:
         def gradient(x: np.ndarray) -> np.ndarray:
             return y.entries - logic.trace_pass(eta_terms, x, range(len(x)))[1] / self.eps
 
-        fx, self._warm = logic._ascend(value, gradient, self._warm, self.radius, self._opts)
+        warm = self._warm
+        if warm.shape != y.entries.shape:
+            warm = MatrixTuple.scalar(self.target, y.n).entries
+        fx, self._warm = logic._ascend(value, gradient, warm, self.radius, self._opts)
         return self._warm, fx
 
-    def value(self, y: MatrixTuple) -> float:
-        return self.value_and_gradient(y.entries)[0]
-
     def bind(self, m: int):
-        """The sampler's per-chain kernel: nothing to bind, the inner ascent is stateful."""
-        return self.value_and_gradient
+        """The sampler's kernel ``entries -> (value, gradient)``; nothing is bound,
+        since the inner ascent carries its warm start from call to call."""
 
-    def value_and_gradient(self, entries: np.ndarray) -> tuple[float, np.ndarray]:
-        y = MatrixTuple(entries)
-        x_star, sup_val = self._solve(y)
-        return sup_val + 0.5 * self.t * real_inner(y, y), x_star + self.t * y.entries
+        def value_and_gradient(entries: np.ndarray) -> tuple[float, np.ndarray]:
+            y = MatrixTuple(entries)
+            x_star, sup_val = self._solve(y)
+            return sup_val + 0.5 * self.t * real_inner(y, y), x_star + self.t * entries
+
+        return value_and_gradient
 
 
 def run_moment_matrix_scale(cfg: RunConfig) -> Report:
@@ -559,6 +563,9 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
     samples = cfg["samples"]
     report = Report("qfconv", cfg)
     pot = gibbs.Potential.quadratic(cfg["c"], m)
+    parsed = [(text, logic.parse(text)) for text in formulas]
+    if not all(logic.is_quantifier_free(ast) for _, ast in parsed):
+        raise ValueError("qfconv requires quantifier-free formulas")
 
     rows = []
     chains = []  # sampler diagnostics, one row per n
@@ -567,10 +574,7 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
         ens = gibbs.sample_gibbs(pot, n, m, samples,
                                  gibbs.SamplerOptions(seed=Seed(cfg["seed"], idx)))
         chains.append({"n": n, **ens.diagnostics})
-        for text in formulas:
-            ast = logic.parse(text)
-            if not logic.is_quantifier_free(ast):
-                raise ValueError("qfconv requires quantifier-free formulas")
+        for text, ast in parsed:
             vals = np.array([logic.evaluate(ast, t) for t in ens.tuples()])
             sd = float(vals.std(ddof=1))
             stds[text].append(sd)

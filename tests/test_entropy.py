@@ -217,15 +217,6 @@ def test_ti_roundtrip_consistency():
     assert abs(fwd + bwd) <= 2 * (err_f + err_b) + 1e-3
 
 
-def test_thermo_delta_passes_sampler_options_through():
-    # max_halvings=0 makes the first collapsed window fatal; the default allows 10
-    ref = gibbs.Potential.quadratic(1.0, 1)
-    opts = gibbs.SamplerOptions(step=1e9, max_halvings=0)
-    with pytest.raises(gibbs.SamplerError, match="after 1 step halvings"):
-        en.thermo_delta(ref, ref.with_quartic(0.1), 4, 1, seed=Seed(25), nodes=2,
-                        samples_per_node=4, sampler_opts=opts)
-
-
 def test_log_z_monotone_in_added_term():
     # adding a nonnegative potential term can only shrink Z
     ref = gibbs.Potential.quadratic(1.0, 1)

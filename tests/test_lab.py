@@ -267,6 +267,55 @@ def test_envelope_inner_solve_work_count(monkeypatch):
     assert counts == {"qf_type": 37, "trace_pass": 1, "_project_ball": 37}
 
 
+def test_envelope_restarts_when_the_query_size_changes():
+    # the sampler's convexity spot check queries at min(n, 8), the chain at n;
+    # the warm start used to keep the size of the last query, so n > 8 failed
+    # with "tuple shapes differ"
+    cfg = RunConfig.from_dict("moment", {"matrix_scale": "true", "target": 0.5})
+    m = cfg["m"]
+
+    def envelope():
+        return ex._EnvelopePotential(np.full(m, cfg["target"]), cfg["t"],
+                                     cfg["type_epsilon"], cfg["radius"], 10, m)
+
+    rng = np.random.default_rng(26)
+    small, large = (rng.normal(size=(m, k, k)) + 1j * rng.normal(size=(m, k, k))
+                    for k in (8, 10))
+    kernel = envelope().bind(m)
+    value8, grad8 = kernel(small)
+    value10, grad10 = kernel(large)
+    assert grad8.shape == (m, 8, 8) and grad10.shape == (m, 10, 10)
+    assert math.isfinite(value8)
+    # the size-10 query restarts from a I, the start of a fresh envelope
+    fresh_value, fresh_grad = envelope().bind(m)(large)
+    assert value10 == fresh_value
+    assert grad10.tobytes() == fresh_grad.tobytes()
+
+
+@pytest.mark.parametrize("t,matrix_scale", [("nan", "false"), ("nan", "true"),
+                                             ("inf", "false"), ("-1", "false")])
+def test_cli_moment_rejects_a_non_finite_t(tmp_path, capsys, t, matrix_scale):
+    # nan used to crash the 1-D run with an IndexError, or sample at matrix
+    # scale until the acceptance collapsed; inf reported an underflow
+    cfg_file = tmp_path / "moment.cfg"
+    cfg_file.write_text(f"t = {t}\nmatrix_scale = {matrix_scale}\n")
+    code = cli_main(["moment", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: regularization t must be finite and > 0, got {float(t)}\n")
+
+
+def test_qfconv_rejects_a_quantified_formula_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the formulas")
+
+    monkeypatch.setattr(gibbs, "sample_gibbs", no_sampling)
+    cfg = RunConfig.from_dict("qfconv", {"formulas": "re tr(x1);sup{y:1.0} re tr(y*x1)",
+                                         "n_ladder": "4,8"})
+    with pytest.raises(ValueError, match="qfconv requires quantifier-free formulas"):
+        ex.run_qf_convergence(cfg)
+
+
 def test_qfconv_constant_formula_zero_std():
     cfg = RunConfig.from_dict(
         "qfconv",
