@@ -325,10 +325,11 @@ def _trace_plan(words: tuple, grad_slots: tuple | None) -> _TracePlan:
             return build(adj), True
         return build(w), False
 
-    # values first, so that their bits do not depend on grad_slots; a prefix
-    # leans to the orientation the last letter's gradient reads directly
-    for w in sorted(dict.fromkeys(w for w in index if len(w) > 1), key=len, reverse=True):
-        ref(w[:-1], not w[-1][1])
+    # values first, and read as chosen here, so that their bits do not depend on
+    # grad_slots: a gradient may later build the other orientation of a prefix;
+    # a prefix leans to the orientation the last letter's gradient reads directly
+    prefix_refs = {w: ref(w[:-1], not w[-1][1]) for w in sorted(
+        dict.fromkeys(w for w in index if len(w) > 1), key=len, reverse=True)}
     # gradient: the letter at p of coef * w contributes coef M(r) with
     # r = w[p+1:] + w[:p] when starred, conj(coef) M(r)^H = conj(coef) M(r^*) when not
     contribs = []
@@ -351,7 +352,7 @@ def _trace_plan(words: tuple, grad_slots: tuple | None) -> _TracePlan:
             a, star = ref(w)
             reads.append((1, star, a, 0))
             continue
-        (a, p_adj), (b, last_adj) = ref(w[:-1]), ref(w[-1:])
+        (a, p_adj), (b, last_adj) = prefix_refs[w], ref(w[-1:])
         if p_adj == last_adj:  # tr(P a) or tr(P^H a^H) = conj tr(a P)
             reads.append((3, p_adj, a, b))
         else:  # tr(P^H a) = vdot(P, a), tr(P a^H) = vdot(a, P)

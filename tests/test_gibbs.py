@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freegeo import entropy, gibbs, logic, matcore as mc
@@ -141,6 +141,9 @@ def related_terms(draw, slots):
 
 @settings(max_examples=40, deadline=None)
 @given(terms=related_terms(2), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# a gradient builds x1^* x1^*, the prefix the first word's value reads as (x1 x1)^*
+@example(terms=[(1.0, ((0, True), (0, True), (0, False))),
+                (1j, ((0, False), (0, True), (0, True), (0, True)))], n=2, seed=0)
 def test_value_and_gradient_match_central_differences(terms, n, seed):
     # random words: starred letters, length-1 words (tilts), the empty word, and
     # words that share products: duplicates, cyclic rotations and adjoint pairs
@@ -508,9 +511,9 @@ def test_sampler_options_reject_bad_values(kwargs, match):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"step": 1e-7}, {"step": 1e9}, {"adapt_steps": 0}, {"adapt_steps": 20},
+    {"step": 1e-7}, {"step": 1e9}, {"step": None}, {"adapt_steps": 0}, {"adapt_steps": 20},
     {"pilot_steps": 0}, {"max_halvings": 0}, {"max_halvings": 5},
-    {"convexity_spot_pairs": 1},
+    {"adapt_steps": 0, "pilot_steps": 0}, {"convexity_spot_pairs": 1},
 ])
 def test_sampler_options_accept_edge_values(kwargs):
     assert gibbs.SamplerOptions(**kwargs)
