@@ -71,12 +71,13 @@ def thermo_delta(pot_a: Potential, pot_b: Potential, n: int, m: int,
 
     d/dlam log Z_lam = -n^2 E_lam[phi_b - phi_a]; the lambda integral uses a
     Gauss-Legendre grid with one MALA ensemble per node.  Returns
-    (delta_log_z, error_bar, ladder).
+    (delta_log_z, error_bar, ladder, chains): ``chains`` holds each node
+    chain's sampler diagnostics with the node's ``lambda``.
     """
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     lams = 0.5 * (xs + 1.0)
     weights = 0.5 * ws
-    ladder = []
+    ladder, chains = [], []
     total = 0.0
     var_total = 0.0
     for k, (lam, w) in enumerate(zip(lams, weights)):
@@ -88,11 +89,12 @@ def thermo_delta(pot_a: Potential, pot_b: Potential, n: int, m: int,
         mean_d = float(dvals.mean())
         se_d = float(dvals.std(ddof=1) / math.sqrt(ess)) if len(dvals) > 1 else 0.0
         ladder.append((float(lam), mean_d, se_d))
+        chains.append({"lambda": float(lam), **ens.diagnostics})
         total += w * mean_d
         var_total += (w * se_d) ** 2
     delta = -n * n * total
     err = n * n * math.sqrt(var_total)
-    return delta, err, ladder
+    return delta, err, ladder, chains
 
 
 def gibbs_entropy(pot: Potential, n: int, m: int, seed: Seed = Seed(),
@@ -102,12 +104,14 @@ def gibbs_entropy(pot: Potential, n: int, m: int, seed: Seed = Seed(),
 
     log Z comes from the analytic Gaussian reference (c/2)||.||^2 plus
     thermodynamic integration; the identity
-    h = log Z + n^2 int(phi) d mu then gives h* after normalization.
+    h = log Z + n^2 int(phi) d mu then gives h* after normalization.  ``meta``
+    holds the integration's own error on log Z (``log_z_error``), each TI node
+    chain's diagnostics (``ti_chains``) and the final chain's (``final_chain``).
     """
     ref = Potential.quadratic(pot.c, m)
     log_z_ref = gaussian_log_partition(pot.c, n, m)
-    delta, err_ti, ladder = thermo_delta(ref, pot, n, m, seed=seed, nodes=nodes,
-                                         samples_per_node=samples_per_node)
+    delta, err_ti, ladder, ti_chains = thermo_delta(ref, pot, n, m, seed=seed, nodes=nodes,
+                                                    samples_per_node=samples_per_node)
     log_z = log_z_ref + delta
     final = sample_gibbs(pot, n, m, samples_final, SamplerOptions(seed=seed.derive(0)))
     pvals = np.array([pot.value(t) for t in final.tuples()])
@@ -123,6 +127,8 @@ def gibbs_entropy(pot: Potential, n: int, m: int, seed: Seed = Seed(),
         "c": pot.c,
         "volume_convention": "tr_n-orthonormal Lebesgue (entrywise offset -m n^2 log n)",
         "log_z_reference": log_z_ref,
+        "log_z_error": err_ti,
+        "ti_chains": ti_chains,
         "final_chain": dict(final.diagnostics),
     }
     return EntropyReport(h_n, log_z, mean_pot, error_bar, ladder, meta)

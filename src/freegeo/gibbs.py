@@ -17,14 +17,19 @@ asks three things of a potential: ``c``, ``formula_text()`` and ``bind(m)``,
 the value-and-gradient kernel a chain binds once; for ``Potential`` that is
 the ``logic.bind_trace`` kernel itself (the plan and the coefficient sums bound
 once).  The chain state lives in the step's closure; each step makes one
-kernel call, one ``standard_normal`` draw that fills both noise halves and one
-``random`` draw for the acceptance test, and does its arithmetic in reused
-buffers.  The chain runs in phi units: it uses phi and its tr_n gradient g
-as the kernel returns them, with the step sigma = n^2 tau.  The acceptance
-ratio comes from the identity |d + tau grad E_x|^2 - |d - tau grad E_y|^2 =
-2 tau <d, grad E_x + grad E_y> + tau^2 (|grad E_x|^2 - |grad E_y|^2) for the
-increment d = y - x and the energy E = n^2 phi, with |g|^2 carried along with
-the state, so a step makes seven array passes besides the draw and the kernel.
+kernel call, one ``standard_normal`` fill of the real view of the increment
+buffer (real and imaginary parts interleaved) that is then scaled in place,
+and one ``random`` draw for the acceptance test, and does its arithmetic in
+reused buffers.  A chain reads its stream in order and never jumps, so it
+draws from SFC64 over its seed's ``SeedSequence`` (``_chain_rng``), which fills
+normals faster than the Philox of ``Seed.rng()``; every other stream of the
+program stays on Philox.  The chain runs in phi units: it uses phi and its
+tr_n gradient g as the kernel returns them, with the step sigma = n^2 tau.
+The acceptance ratio comes from the identity |d + tau grad E_x|^2 -
+|d - tau grad E_y|^2 = 2 tau <d, grad E_x + grad E_y> + tau^2 (|grad E_x|^2 -
+|grad E_y|^2) for the increment d = y - x and the energy E = n^2 phi, with
+|g|^2 carried along with the state, so a step makes seven array passes
+besides the draw and the kernel.
 """
 
 from __future__ import annotations
@@ -320,6 +325,12 @@ class SamplerOptions:
                              f"{self.convexity_spot_pairs}")
 
 
+def _chain_rng(seed: Seed) -> np.random.Generator:
+    """The generator of the MALA chain seeded ``seed``: SFC64 over ``seed.sequence()``,
+    the ``SeedSequence`` that ``seed.rng()`` runs Philox over."""
+    return np.random.Generator(np.random.SFC64(seed.sequence()))
+
+
 def _convexity_spot(kernel, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
     """Max violation of the c-strong-convexity midpoint inequality on random pairs,
     with phi from the chain's bound ``kernel``."""
@@ -386,7 +397,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
             f"(violation {viol:.3e}); all concentration bounds would be void"
         )
 
-    rng = opts.seed.derive(1).rng()
+    rng = _chain_rng(opts.seed.derive(1))
     nn = n * n
     # sigma = n^2 tau is the step in phi units: tau grad(n^2 phi) = sigma g.
     # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
@@ -396,13 +407,10 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     # Reused per-step buffers.  Standard Gaussian noise in the tr_n real inner
     # product has entries sqrt(n)(g1 + i g2), since the orthonormal coordinates
-    # are entries/sqrt(n); g1 and g2 come from one (2, m, n, n) draw.  Its
-    # transposed (mn^2, 2) view is scaled straight into the real view of the
-    # complex increment d; Fortran order runs the loop along the long axis.
-    gauss = np.empty((2, m, n, n))
-    gauss_t = gauss.reshape(2, -1).T
+    # are entries/sqrt(n).  One draw fills the real view of the complex
+    # increment d, real and imaginary parts interleaved, and is scaled there.
     d = np.empty((m, n, n), dtype=np.complex128)
-    d_t = d.view(np.float64).reshape(-1, 2)
+    d_re = d.view(np.float64)
     prop, g_sum = (np.empty((m, n, n), dtype=np.complex128) for _ in range(2))
 
     # the chain state: x, phi(x), its gradient and |g_x|^2; prop is a free buffer
@@ -420,8 +428,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         inner product.  alpha is the acceptance probability min(1, e^{log
         alpha}), with a NaN log alpha (a rejected proposal) counted as 0."""
         nonlocal x, v_x, g_x, gg_x, prop
-        rng.standard_normal(out=gauss)
-        np.multiply(gauss_t, math.sqrt(2 * sigma / n), out=d_t, order="F")
+        rng.standard_normal(out=d_re)
+        np.multiply(d_re, math.sqrt(2 * sigma / n), out=d_re)
         np.subtract(d, np.multiply(g_x, sigma, out=prop), out=d)
         np.add(x, d, out=prop)
         v_p, g_p = kernel(prop)
@@ -513,7 +521,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         "n": n,
         "m": m,
         "count": count,
-        "sampler": {"step": tau, "thin": thin, "adapt_steps": opts.adapt_steps},
+        "sampler": {"step": tau, "thin": thin, "adapt_steps": opts.adapt_steps,
+                    "rng": "SFC64"},
     }
     return Ensemble(out, provenance, diagnostics)
 

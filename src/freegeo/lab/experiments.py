@@ -192,7 +192,7 @@ def run_talagrand(cfg: RunConfig) -> Report:
 
     ratios = []
     rows = []
-    chains = []  # sampler diagnostics of the mu and nu chains per seed
+    chains = []  # sampler diagnostics of the mu, nu and TI node chains per seed
     for s in range(cfg["seeds"]):
         seed = Seed(cfg["seed"], s)
         mu_ens = gibbs.sample_gibbs(base, n, m, samples, gibbs.SamplerOptions(seed=seed.derive(1)))
@@ -207,8 +207,10 @@ def run_talagrand(cfg: RunConfig) -> Report:
             kl = n * n * alpha * alpha / (2 * c)
             kl_prov = "analytic Gaussian translate"
         else:
-            delta, _, _ = en.thermo_delta(base, tilted, n, m, seed=seed.derive(3),
-                                          nodes=cfg["ti_nodes"], samples_per_node=max(64, samples // 2))
+            delta, _, _, ti_chains = en.thermo_delta(base, tilted, n, m, seed=seed.derive(3),
+                                                     nodes=cfg["ti_nodes"],
+                                                     samples_per_node=max(64, samples // 2))
+            chains += [{"seed": s, "measure": "ti", **row} for row in ti_chains]
             tilt_vals = [alpha * float(np.trace(t.entries[0]).real) / n for t in nu_ens.tuples()]
             kl = -n * n * float(np.mean(tilt_vals)) - delta
             kl_prov = "log-partition thermodynamic integration"

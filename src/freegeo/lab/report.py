@@ -75,8 +75,11 @@ class Report:
         for name, rows in self.series.items():
             path = out / f"{self.experiment}_{name}.csv"
             if rows:
+                # the header is every key of every row, in first-seen order; a row
+                # without a column (a talagrand mu row has no TI lambda) leaves it empty
+                fields = list(dict.fromkeys(key for row in rows for key in row))
                 with open(path, "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                    writer = csv.DictWriter(fh, fieldnames=fields)
                     writer.writeheader()
                     writer.writerows(rows)
                 self.artifacts.append(str(path))

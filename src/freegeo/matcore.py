@@ -35,10 +35,15 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Seed:
-    """Deterministic RNG handle: (master_seed, stream_id) -> one counter-based stream.
+    """Deterministic RNG handle: (master_seed, stream_id) -> one ``SeedSequence``.
 
-    Two draws with the same (master_seed, stream_id) produce identical output;
-    distinct stream_ids give independent streams for parallel chains.
+    ``rng()`` runs the counter-based Philox generator over that sequence.  The
+    MALA sampler takes its chain stream from the same sequence of its chain
+    seed through SFC64 (``gibbs._chain_rng``): a chain reads its stream in
+    order and never needs Philox's counter jumps, and SFC64 fills normals
+    faster.  Two draws with the same (master_seed, stream_id) produce
+    identical output; distinct stream_ids give independent streams for
+    parallel chains.
     """
 
     master_seed: int = 0
@@ -50,9 +55,12 @@ class Seed:
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
 
+    def sequence(self) -> np.random.SeedSequence:
+        """The seed sequence of this stream: entropy master_seed, spawn key (stream_id,)."""
+        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
+
     def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(seed=ss))
+        return np.random.Generator(np.random.Philox(seed=self.sequence()))
 
     def derive(self, offset: int) -> "Seed":
         """Child seed for a sub-stream (chains, quantifier nodes, ladder nodes).

@@ -203,17 +203,30 @@ def test_quartic_entropy_vs_quadrature_oracle():
                            samples_per_node=192, samples_final=384)
     h_oracle, log_z_oracle = quartic_entropy_quadrature(gamma, n=n, nodes=8)
     assert rep.h_n == pytest.approx(h_oracle, abs=0.02 * abs(h_oracle))
-    assert rep.log_z == pytest.approx(log_z_oracle, abs=0.05)
+    # log Z within three of the integration's own error bars, and those bars
+    # small enough that a less precise estimator still fails
+    err = rep.meta["log_z_error"]
+    assert abs(rep.log_z - log_z_oracle) <= 3 * err
+    assert 0 < err <= 0.05
+
+
+def test_report_keeps_each_ti_node_chain_and_the_log_z_error():
+    rep = en.gibbs_entropy(gibbs.Potential.quadratic(1.0, 1).with_quartic(0.25), 4, 1,
+                           seed=Seed(26), nodes=3, samples_per_node=8, samples_final=8)
+    chains = rep.meta["ti_chains"]
+    assert [row["lambda"] for row in chains] == [lam for lam, _, _ in rep.ladder]
+    assert all(row["steps"] > 0 and row["thin"] >= 1 for row in chains)
+    assert rep.meta["log_z_error"] > 0
 
 
 def test_ti_roundtrip_consistency():
     # integrating q -> phi -> q returns log Z differences summing to zero
     pot = gibbs.Potential.quadratic(1.0, 1).with_quartic(0.2)
     ref = gibbs.Potential.quadratic(1.0, 1)
-    fwd, err_f, _ = en.thermo_delta(ref, pot, 4, 1, seed=Seed(20), nodes=8,
-                                    samples_per_node=96)
-    bwd, err_b, _ = en.thermo_delta(pot, ref, 4, 1, seed=Seed(21), nodes=8,
-                                    samples_per_node=96)
+    fwd, err_f, _, _ = en.thermo_delta(ref, pot, 4, 1, seed=Seed(20), nodes=8,
+                                       samples_per_node=96)
+    bwd, err_b, _, _ = en.thermo_delta(pot, ref, 4, 1, seed=Seed(21), nodes=8,
+                                       samples_per_node=96)
     assert abs(fwd + bwd) <= 2 * (err_f + err_b) + 1e-3
 
 
@@ -222,10 +235,10 @@ def test_log_z_monotone_in_added_term():
     ref = gibbs.Potential.quadratic(1.0, 1)
     small = gibbs.Potential.quadratic(1.0, 1).with_quartic(0.1)
     big = gibbs.Potential.quadratic(1.0, 1).with_quartic(0.3)
-    d_small, e1, _ = en.thermo_delta(ref, small, 4, 1, seed=Seed(22), nodes=6,
-                                     samples_per_node=96)
-    d_big, e2, _ = en.thermo_delta(ref, big, 4, 1, seed=Seed(23), nodes=6,
-                                   samples_per_node=96)
+    d_small, e1, _, _ = en.thermo_delta(ref, small, 4, 1, seed=Seed(22), nodes=6,
+                                        samples_per_node=96)
+    d_big, e2, _, _ = en.thermo_delta(ref, big, 4, 1, seed=Seed(23), nodes=6,
+                                      samples_per_node=96)
     assert d_small < 0 and d_big < d_small + 2 * (e1 + e2)
 
 

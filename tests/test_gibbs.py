@@ -65,11 +65,12 @@ def reference_mala(pot, n, m, seed, tau, steps, thin, count):
 
     The proposal is the forward Langevin mean x - tau grad E(x) plus sqrt(2 tau)
     standard tr_n Gaussian noise, drawn as sample_gibbs draws it from the
-    chain stream of ``seed``; the acceptance ratio uses the forward and
-    backward means.  Runs ``steps`` steps and returns the state after every
-    ``thin``-th of the last ``count * thin``.
+    chain stream of ``seed`` (real and imaginary parts interleaved); the
+    acceptance ratio uses the forward and backward means.  Runs ``steps``
+    steps and returns the state after every ``thin``-th of the last
+    ``count * thin``.
     """
-    rng = seed.derive(1).rng()
+    rng = gibbs._chain_rng(seed.derive(1))
     kernel = pot.bind(m)
 
     def energy(entries):
@@ -83,9 +84,9 @@ def reference_mala(pot, n, m, seed, tau, steps, thin, count):
     e_x, grad_x = energy(x)
     samples = []
     for k in range(steps, 0, -1):  # k steps left, this one included
-        g = rng.standard_normal((2, m, n, n))
+        g = rng.standard_normal((m, n, n, 2))
         mean_x = x - tau * grad_x
-        y = mean_x + math.sqrt(2 * tau) * math.sqrt(n) * (g[0] + 1j * g[1])
+        y = mean_x + math.sqrt(2 * tau) * math.sqrt(n) * (g[..., 0] + 1j * g[..., 1])
         e_y, grad_y = energy(y)
         mean_y = y - tau * grad_y
         log_alpha = e_x - e_y + (sq_norm(y - mean_x) - sq_norm(x - mean_y)) / (4 * tau)
@@ -269,6 +270,20 @@ def test_sampler_stationary_covariance():
     assert np.mean(var) == pytest.approx(1.0 / (c * n * n), rel=0.1)
 
 
+@pytest.mark.parametrize("master", [61, 62, 63])
+def test_quadratic_chain_mean_squared_norm_within_four_standard_errors(master):
+    # E ||X||^2_{tr_n} = 2m/c exactly (2mn^2 coordinates of variance 1/(c n^2)).
+    # A mis-scaled noise draw breaks detailed balance and moves this mean (by
+    # 17 standard errors at 5% too little noise); reference_mala reads the
+    # chain's own draws, so only an exact moment checks the law of the noise
+    n, m, c = 16, 2, 1.0
+    ens = gibbs.sample_gibbs(gibbs.Potential.quadratic(c, m), n, m, 64,
+                             gibbs.SamplerOptions(seed=mc.Seed(master)))
+    sq = np.sum(np.abs(ens.samples) ** 2, axis=(1, 2, 3)) / n
+    se = sq.std(ddof=1) / math.sqrt(ens.diagnostics["ess"])
+    assert abs(sq.mean() - 2 * m / c) <= 4 * se
+
+
 def test_sampler_determinism():
     pot = gibbs.Potential.quadratic(1.0, 1)
     opts = gibbs.SamplerOptions(seed=mc.Seed(99, 5))
@@ -293,16 +308,16 @@ GOLDEN_POTENTIALS = {
                       2),
 }
 GOLDEN_SAMPLES = {
-    ("quadratic", 4): "8beeca17bfa3887e898db2d4f163696abaf3cfde260bc3c6cde3e3804e105d2e",
-    ("quadratic", 8): "22f8a5a8eebf75f37baf4ac5ea50ae1d971ed16e55ad9a593e4b4415b88bea54",
-    ("tilt", 4): "94ab90aec6c34433fb2dcbceb584ee9376585415fcd47d4121b9ba91ad87ab7a",
-    ("tilt", 8): "dd9e6219ebfc77edb62cdc71171799d514bf74911ad0b5a185149a43e24d53c3",
-    ("quartic+tilt", 4): "2b510ff26ccbb39fcae5dc7e64a700745ab1399f43416dc067a7c0f4eb9dbcdc",
-    ("quartic+tilt", 8): "dc9d8b3abaf74b93693d1232ac3674263735b8b3013370b4597620ece5732684",
+    ("quadratic", 4): "bc0f960e8114915da8caf316419c590525783ea8ba6d087cf96e8c806855ee25",
+    ("quadratic", 8): "d7f3165502e677bce47ea33dc86e8bb7de4440741684d279cf52aeb1fc5d4bf7",
+    ("tilt", 4): "a6598775e0fcf381321bac1193093fb7c73e0c54b0541c354a662b199f4ebcdc",
+    ("tilt", 8): "372698da44203ab86fc1a71685d5f7d814dfe57be87bf147bf82cf4babfb55ee",
+    ("quartic+tilt", 4): "4e622d18c2809059379831665b17fad1b03067f9648ae8f602a5f7c2ea787bfe",
+    ("quartic+tilt", 8): "af2041e0641354c1f27ec72fb135f054873d5251513847cdb885aa87a81951fc",
     # n = 6: n^2 is not a power of two
-    ("quartic+tilt", 6): "01f4a2a94de47c30a412bb81e872eebb7e11b8f8262116708dddd510dd3d0c15",
-    ("ti-mix", 8): "9cf2cfe3c1bd74d56d63325cdc31c73c0ce358061725250b2a40a65185a59bee",
-    ("quartic-slot0", 8): "f8ca18f0b5fd3a18ac80d5e340e2ac6ffb2db1243ab742b2af2428c5e61750de",
+    ("quartic+tilt", 6): "31d2e10ad48ef2d28b994359c96b479da5c08dc6421a9854476068e9808a773d",
+    ("ti-mix", 8): "f95340a63e60ca8ecb68ea6ab80bc4cb7f98fd6f0862a7743f8267a2532280a6",
+    ("quartic-slot0", 8): "541dc6005c1ed7fce8c407ec59c80e9a491a41c66990621b63054dcdc35bfc6f",
 }
 
 
@@ -334,21 +349,30 @@ def test_recording_accepts_at_the_rate_the_pilot_measured():
 def test_numpy_draws_and_arithmetic_the_mala_step_relies_on(n, m):
     # the goldens above rest on these equalities; a numpy release that breaks
     # one fails here instead of moving the goldens
-    a, b = mc.Seed(2024, n).rng(), mc.Seed(2024, n).rng()
+    a, b = gibbs._chain_rng(mc.Seed(2024, n)), gibbs._chain_rng(mc.Seed(2024, n))
     for _ in range(50):  # random() is uniform(), at the same stream position
         assert a.random().hex() == b.uniform().hex()
-    gauss = np.empty((2, m, n, n))
-    a.standard_normal(out=gauss)
-    g1, g2 = b.standard_normal((m, n, n)), b.standard_normal((m, n, n))
-    assert gauss.tobytes() == np.stack([g1, g2]).tobytes()
-    assert a.random().hex() == b.uniform().hex()
-    # noise sqrt(2 sigma/n)(g1 + i g2) written into the real view of a complex
-    # buffer from the transposed view of the draw, as sample_gibbs builds it
-    scale = math.sqrt(2 * 0.37 / n)
+    # noise sqrt(2 sigma/n)(g1 + i g2) drawn into the real view of a complex
+    # buffer and scaled there, as sample_gibbs builds it
     noise = np.empty((m, n, n), dtype=np.complex128)
-    np.multiply(gauss.reshape(2, -1).T, scale, out=noise.view(np.float64).reshape(-1, 2),
-                order="F")
-    assert noise.tobytes() == (scale * (g1 + 1j * g2)).tobytes()
+    a.standard_normal(out=noise.view(np.float64))
+    g = b.standard_normal((m, n, n, 2))
+    assert noise.tobytes() == g.tobytes()
+    assert a.random().hex() == b.uniform().hex()
+    scale = math.sqrt(2 * 0.37 / n)
+    np.multiply(noise.view(np.float64), scale, out=noise.view(np.float64))
+    assert noise.tobytes() == (scale * g[..., 0] + 1j * (scale * g[..., 1])).tobytes()
+
+
+def test_chain_stream_is_sfc64_over_the_seed_sequence_of_seed_rng():
+    # the chain and Seed.rng() share one SeedSequence; only the bit generator differs
+    seed = mc.Seed(2024, 7).derive(1)
+    seq = seed.rng().bit_generator.seed_seq
+    assert (seq.entropy, seq.spawn_key) == (2024, (seed.stream_id,))
+    chain = gibbs._chain_rng(seed)
+    assert isinstance(chain.bit_generator, np.random.SFC64)
+    expected = np.random.Generator(np.random.SFC64(seq))
+    assert chain.standard_normal(64).tobytes() == expected.standard_normal(64).tobytes()
 
 
 REFERENCE_POTENTIALS = {
@@ -395,10 +419,10 @@ def test_mala_step_work_count(monkeypatch):
     # per step: one normal draw, one random draw, one kernel call; the plan
     # and its coefficients are bound once per chain, and nothing else binds
     rngs, binds = {}, []
-    seed_rng, bind_trace = mc.Seed.rng, logic.bind_trace
+    chain_rng, bind_trace = gibbs._chain_rng, logic.bind_trace
 
     def counting_rng(seed):
-        rngs[seed] = CountingRng(seed_rng(seed))
+        rngs[seed] = CountingRng(chain_rng(seed))
         return rngs[seed]
 
     def counting_bind(terms, grad_slots=None):
@@ -412,7 +436,7 @@ def test_mala_step_work_count(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(mc.Seed, "rng", counting_rng)
+    monkeypatch.setattr(gibbs, "_chain_rng", counting_rng)
     monkeypatch.setattr(logic, "bind_trace", counting_bind)
     build, m = GOLDEN_POTENTIALS["quartic+tilt"]
     opts = gibbs.SamplerOptions(seed=mc.Seed(2024, 4), adapt_steps=120, pilot_steps=80)
@@ -421,6 +445,7 @@ def test_mala_step_work_count(monkeypatch):
     # the pilot runs at the frozen step, so it counts toward the 10 IAT burn-in
     burn = max(opts.pilot_steps, math.ceil(10 * ens.diagnostics["iat"]))
     steps = opts.adapt_steps + burn + count * ens.diagnostics["thin"]
+    assert list(rngs) == [opts.seed.derive(1)]  # one chain generator
     assert rngs[opts.seed.derive(1)].calls == {"standard_normal": steps, "random": steps}
     assert ens.diagnostics["steps"] == steps
     # the extra calls are the start point and the convexity spot check's 36
@@ -432,14 +457,14 @@ def test_gibbs_entropy_golden_value():
     rep = entropy.gibbs_entropy(gibbs.Potential.quadratic(1.0, 1).with_quartic(0.25), 8, 1,
                                 seed=mc.Seed(31), nodes=4, samples_per_node=8,
                                 samples_final=16)
-    assert repr(rep.h_n) == "np.float64(1.9245035451435273)"
+    assert repr(rep.h_n) == "np.float64(1.9129176164697692)"
 
 
 def test_adaptation_window_flag_reports_a_hit():
     build, m = GOLDEN_POTENTIALS["tilt"]
     diag = gibbs.sample_gibbs(build(), 4, m, 6,
                               gibbs.SamplerOptions(seed=mc.Seed(2024, 4))).diagnostics
-    assert diag["adapt_final_rate"] == pytest.approx(374 / 600)  # the pilot's 600 steps
+    assert diag["adapt_final_rate"] == pytest.approx(341 / 600)  # the pilot's 600 steps
     assert diag["adapt_in_window"] is True
 
 
@@ -681,6 +706,7 @@ def test_herbst_lipschitz_estimate_uses_eval_opts(monkeypatch):
 def test_ensemble_provenance_fields(gaussian_ensemble):
     prov = gaussian_ensemble.provenance
     assert {"potential", "potential_hash", "seed", "sampler"} <= set(prov)
+    assert prov["sampler"]["rng"] == "SFC64"  # the generator that reproduces the chain
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,20 @@ def test_talagrand_reports_each_chains_diagnostics():
     assert all(r["steps"] > 0 and 0 < r["acceptance_rate"] < 1 for r in rows)
 
 
+def test_cli_talagrand_writes_ti_node_chains_to_the_chains_csv(tmp_path):
+    # with a quartic, each TI node chain joins the mu and nu rows with its lambda
+    cfg_file = tmp_path / "tal.cfg"
+    cfg_file.write_text("n = 4\nsamples = 8\nquartic = 0.5\nti_nodes = 2\nseed = 3\n")
+    assert cli_main(["talagrand", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "talagrand_chains.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["measure"]) for r in rows] == [
+        ("0", "mu"), ("0", "nu"), ("0", "ti"), ("0", "ti")]
+    assert [r["lambda"] for r in rows[:2]] == ["", ""]
+    assert 0 < float(rows[2]["lambda"]) < float(rows[3]["lambda"]) < 1
+    assert all(int(r["steps"]) > 0 for r in rows)
+
+
 def test_geodesic_degenerate_pair_excluded():
     # s = t contributes nothing; the grid parser keeps distinct points only
     cfg = RunConfig.from_dict("geodesic", {"grid": "0.3,0.7", "samples": 1500, "seed": 1})
@@ -210,7 +224,7 @@ def test_moment_quantiles_ndtri_equal_norm_ppf(kq):
 
 
 # sha256 of the JSON of (metrics, series) of the matrix-scale report below
-MATRIX_SCALE_GOLDEN = "474f06d082c7493c94fe6a418146ca27abab91a3c9ca1a247ef27bd4706e67c3"
+MATRIX_SCALE_GOLDEN = "6b205bb25ddc4775c160137959d4c68941e3780d9c2a9b0fdd52c66b6d10056f"
 
 
 def test_moment_matrix_scale_flag():
