@@ -38,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--in", dest="infile", required=True, help="FIGE ensemble file")
     p.add_argument("--index", type=int, default=None, help="evaluate a single tuple")
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=int, default=8,
+                   help="ascents per quantifier whose body is not certified concave in its "
+                        "variable (convex for inf); a certified one runs one ascent")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 

@@ -13,7 +13,9 @@ and values as O(n^2) contractions.  ``qf_type`` reads every word's moment
 through the same plans.
 
 Quantified values are computed by projected multistart gradient search over
-the ball, with the analytic gradient (cyclic derivative plus envelope rule):
+the ball (one start when the body is certified concave in the quantified
+variable, convex for inf, by the composition rules of ``_curvature``), with
+the analytic gradient (cyclic derivative plus envelope rule):
 one pass over the compiled formula gives a node's value and its gradient,
 atoms through ``trace_pass``, connectives by the chain rule (fixed one-sided
 choices at kinks), and a nested sup/inf through the gradient of its body at
@@ -200,7 +202,13 @@ class Quant(Formula):
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Controls the quantifier optimizer; defaults match desk-scale use."""
+    """Controls the quantifier optimizer; defaults match desk-scale use.
+
+    ``starts`` counts the ascents of each uncertified quantifier: one whose
+    body the composition rules of ``_curvature`` do not certify concave in
+    its variable (convex for ``inf``).  A certified quantifier runs one
+    ascent, from the zero start, whatever ``starts`` is.
+    """
 
     starts: int = 8
     iters: int = 200
@@ -210,10 +218,14 @@ class EvalOptions:
     max_depth: int = 2
 
     def __post_init__(self):
-        if self.starts < 1 or self.iters < 1 or self.tol <= 0:
-            raise ValueError("starts >= 1, iters >= 1, tol > 0 required")
+        if self.starts < 1 or self.iters < 1:
+            raise ValueError("starts >= 1, iters >= 1 required")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.step is not None and not 0 < self.step < math.inf:
             raise ValueError(f"step must be None or finite and > 0, got {self.step}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
 
 
 _CALL_ARITY = {"max": 2, "min": 2, "abs": 1, "sqrt": 1, "exp": 1, "log": 1}
@@ -782,10 +794,14 @@ def evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None = None) -> flo
     projected multistart gradient search over the operator-norm ball, driven
     by the analytic gradient (cyclic derivative plus envelope rule), so the
     result is one-sided up to optimizer error when the quantifier's body is
-    quantifier-free.  Each ascent stops before a line-search trial whose
-    first-order gain is at most the acceptance margin of 1e-15, which for a
-    concave body no trial could beat (see ``_ascend``), or when its step
-    falls below opts.tol times the radius.  Deterministic given opts.seed.
+    quantifier-free.  A quantifier whose body the composition rules certify
+    concave in its variable (convex for inf; affine for either, see
+    ``_curvature``) has no local optimum but the global one and runs one
+    ascent, from zero; any other runs opts.starts.  Each ascent stops before
+    a line-search trial whose first-order gain is at most the acceptance
+    margin of 1e-15, which for a concave body no trial could beat (see
+    ``_ascend``), or when its step falls below opts.tol times the radius.
+    Deterministic given opts.seed.
     """
     return _evaluate(f, x, opts, None)[0]
 
@@ -832,6 +848,81 @@ class _SlotQuant(Formula):
     slot: int
     qid: int  # pre-order quantifier number: a fixed RNG stream per quantifier
     body: Formula
+    curvature: str | None  # of the body in its slot, see ``_curvature``
+
+    @property
+    def certified(self) -> bool:
+        """Whether every local optimum of the body over the ball is the global one."""
+        return self.curvature in ("constant", "affine", "concave" if self.sign > 0 else "convex")
+
+
+_FLIP = {"convex": "concave", "concave": "convex"}
+
+
+def _sum_curvature(parts) -> str | None:
+    """The curvature of a sum of terms with these curvatures."""
+    parts = set(parts)
+    curved = parts - {"constant", "affine"}
+    if None in parts or len(curved) > 1:
+        return None
+    return curved.pop() if curved else "affine" if "affine" in parts else "constant"
+
+
+def _atom_curvature(terms, slot: int) -> str | None:
+    """Each word with at most one letter of the slot is affine in it, and a real
+    multiple of y'*y or y*y' (whose real part is that multiple of |y|^2_tr)
+    convex or concave by its sign; any other word is uncertified."""
+    parts = []
+    for coef, word in terms:
+        k = sum(j == slot for j, _ in word)
+        if k <= 1:
+            parts.append(("constant", "affine")[k])
+        elif len(word) == 2 and word[0][1] != word[1][1] and coef.imag == 0:
+            parts.append("convex" if coef.real > 0 else "concave")
+        else:
+            return None
+    return _sum_curvature(parts)
+
+
+def _curvature(f: Formula, slot: int) -> str | None:
+    """'constant', 'affine', 'convex' or 'concave': what the composition rules of
+    disciplined convex programming (Grant, Boyd and Ye 2006) certify of a
+    compiled node as a function of the matrix in ``slot``; None certifies nothing.
+
+    A node in which the slot does not occur is constant.  Sums and negations
+    combine curvatures, as do products with a Const and quotients by one (a
+    negative Const flips convex and concave); min of concave or affine
+    arguments is concave, max of convex or affine ones convex.  Every other
+    connective of the slot, and a quantifier whose body holds it, is
+    uncertified.
+    """
+    if isinstance(f, Const):
+        return "constant"
+    if isinstance(f, _SlotAtom):
+        return _atom_curvature(f.terms, slot)
+    if isinstance(f, _SlotQuant):
+        return "constant" if _curvature(f.body, slot) == "constant" else None
+    parts = [_curvature(a, slot) for a in f.args]
+    if all(p == "constant" for p in parts):
+        return "constant"
+    if isinstance(f, Call):
+        if f.func == "min" and set(parts) <= {"constant", "affine", "concave"}:
+            return "concave"
+        if f.func == "max" and set(parts) <= {"constant", "affine", "convex"}:
+            return "convex"
+        return None
+    if f.op == "neg":
+        return _FLIP.get(parts[0], parts[0])
+    if f.op in ("+", "-"):
+        a, b = parts
+        return _sum_curvature((a, _FLIP.get(b, b) if f.op == "-" else b))
+    if f.op in ("*", "/"):
+        k = 1 if isinstance(f.args[1], Const) else 0  # the Const factor, or the divisor
+        if not isinstance(f.args[k], Const) or (f.op == "/" and k == 0):
+            return None
+        other = parts[1 - k]
+        return _FLIP.get(other, other) if f.args[k].value < 0 else other
+    return None  # pow
 
 
 def _compile(f: Formula, m: int) -> tuple[Formula, int]:
@@ -839,6 +930,9 @@ def _compile(f: Formula, m: int) -> tuple[Formula, int]:
 
     Each quantifier's variable gets its own slot after the m free ones; names
     resolve lexically, so an inner binder of a name shadows the outer one.
+    A connective of constants is folded into one Const of the same value, so
+    that a negative literal such as -2.0 is a Const.  Each quantifier records
+    the curvature of its body in its slot.
     """
     qids = 0
 
@@ -847,12 +941,15 @@ def _compile(f: Formula, m: int) -> tuple[Formula, int]:
         if isinstance(node, Atom):
             return _SlotAtom(tuple(compile_poly(node.poly, bound, m)), node.take_real)
         if isinstance(node, (Arith, Call)):
-            return replace(node, args=tuple(walk(a, bound) for a in node.args))
+            args = tuple(walk(a, bound) for a in node.args)
+            if all(isinstance(a, Const) for a in args):  # -2.0, 0.5*3.0: the same float
+                return Const(_connective(node, [a.value for a in args])[0])
+            return replace(node, args=args)
         if isinstance(node, Quant):
             qid, qids = qids, qids + 1
             body = walk(node.body, {**bound, node.var: m + qid})
             return _SlotQuant(1.0 if node.kind == "sup" else -1.0, node.radius, m + qid,
-                              qid, body)
+                              qid, body, _curvature(body, m + qid))
         return node
 
     compiled = walk(f, {})
@@ -970,6 +1067,11 @@ def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
 def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
     """(value, gradient) of a sup/inf node: the best of projected ascents from several starts.
 
+    A certified node (see ``_SlotQuant.certified``) runs one ascent, from the
+    zero start, and draws nothing from its RNG; any other runs
+    ``opts.starts``: zero, radius times the identity, then random points of
+    the ball from the node's own stream.
+
     Envelope (Danskin) rule: the gradient with respect to ``slots`` is the
     body's gradient at the best point found, with the quantified slot held
     there.  Each ascent point costs one evaluation of the body: ``value``
@@ -982,7 +1084,6 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
     sign = f.sign
     radius = f.radius
     n = env[0].shape[0]
-    rng = opts.seed.derive(f.qid).rng()
     latest = [None, None]  # the latest value point and the body's gradient there
 
     def value(y: np.ndarray) -> float:
@@ -996,11 +1097,14 @@ def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
             raise RuntimeError("a quantifier's gradient is only kept at its latest value point")
         return sign * latest[1]
 
-    starts = [np.zeros((n, n), dtype=np.complex128), radius * np.eye(n, dtype=np.complex128)]
-    while len(starts) < opts.starts:
-        g = (rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-        starts.append(_project_ball(radius * g, radius))
-    starts = starts[: opts.starts]
+    starts = [np.zeros((n, n), dtype=np.complex128)]
+    if not f.certified:
+        starts.append(radius * np.eye(n, dtype=np.complex128))
+        rng = opts.seed.derive(f.qid).rng()
+        while len(starts) < opts.starts:
+            g = (rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+            starts.append(_project_ball(radius * g, radius))
+        starts = starts[: opts.starts]
 
     best, best_y = -math.inf, starts[0]
     for y0 in starts:

@@ -249,7 +249,10 @@ def nested_case():
 
 def test_nested_quantifier_solves_each_inner_problem_once(monkeypatch):
     # the outer ascent's gradient is kept from its value call, which solved the
-    # inner inf; re-solving it there made 1,772 inner and outer ascents
+    # inner inf; re-solving it there made 1,772 inner and outer ascents.  The
+    # inner body is affine in z, so each inner inf runs one ascent; at four
+    # starts per inner inf this case made 1,132 ascents and read
+    # -0.47813745709600897
     calls = 0
     real = logic._ascend
 
@@ -260,8 +263,8 @@ def test_nested_quantifier_solves_each_inner_problem_once(monkeypatch):
 
     monkeypatch.setattr(logic, "_ascend", spy)
     v = logic.evaluate(parse(NESTED), *nested_case())
-    assert v.hex() == (-0.47813745709600897).hex()
-    assert calls == 1132
+    assert v.hex() == (-0.4781369444672449).hex()
+    assert calls == 294
 
 
 def trace_norm_oracle(a, b, iters=1000):
@@ -289,6 +292,120 @@ def test_nested_quantifier_against_trace_norm_oracle():
     oracle = trace_norm_oracle(*x.entries)
     v = logic.evaluate(parse(NESTED), x, opts)
     assert oracle - 1e-2 <= v <= oracle + 1e-9
+
+
+@pytest.mark.parametrize("kind,body,curvature,certified", [
+    ("sup", "re tr(y*x1)", "affine", True),
+    ("inf", "0.5*tr((x1-y)'*(x1-y))", "convex", True),  # the delta predicate
+    ("sup", "re tr(y*x1) - re tr(y'*y)", "concave", True),
+    ("sup", "min(re tr(y*x1), -re tr(y'*y))", "concave", True),
+    ("sup", "re tr(x1'*x1) - 2.0", "constant", True),
+    ("sup", "re tr(y*x1) + sqrt(re tr(x1'*x1))", "affine", True),
+    ("sup", "-2.0*re tr(y*y') + re tr(y*x1)/4.0", "concave", True),
+    ("inf", "re tr(y'*y)/(-2.0)", "concave", False),
+    ("inf", "max(re tr(y'*y), re tr(y*x1))", "convex", True),
+    ("sup", "re tr(y'*y)", "convex", False),
+    ("sup", "re tr(y*y)", None, False),
+    ("sup", "re tr(1i*y'*y)", None, False),
+    ("sup", "re tr(y'*y*x1'*x1)", None, False),
+    ("sup", "re tr(y'*y) - re tr(y*y')", None, False),
+    ("sup", "sqrt(re tr(y'*y))", None, False),
+    ("sup", "abs(re tr(y))", None, False),
+    ("sup", "max(re tr(y), re tr(y'))", "convex", False),
+    ("sup", "re tr(y)*re tr(y)", None, False),
+    ("sup", "re tr(x1)*re tr(y)", None, False),  # a factor that is not a literal
+    ("sup", "(re tr(y))^1.0", None, False),
+    ("sup", "inf{w:1.0} re tr(y*w)", None, False),  # a quantifier over a body holding y
+])
+def test_body_curvature_table(kind, body, curvature, certified):
+    q, _ = logic._compile(parse(f"{kind}{{y:1.0}} {body}"), 1)
+    assert q.curvature == curvature
+    assert q.certified == certified
+
+
+def test_inner_quantifier_gets_its_own_curvature():
+    outer, _ = logic._compile(parse("sup{y:1.0} inf{w:1.0} re tr(y*w)"), 1)
+    assert not outer.certified
+    assert outer.body.curvature == "affine" and outer.body.certified
+
+
+def spy_ascents(mp):
+    """Patch ``_ascend`` to record the (value, point) each ascent returns."""
+    runs = []
+    real = logic._ascend
+
+    def spy(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    mp.setattr(logic, "_ascend", spy)
+    return runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), radius=st.floats(0.1, 3.0), log_scale=st.floats(-6.0, 6.0),
+       delta=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=6, radius=0.1, log_scale=-6.0, delta=False, seed=0)
+@example(n=6, radius=3.0, log_scale=6.0, delta=True, seed=1)
+def test_certified_quantifier_runs_one_ascent_to_the_svd_oracle(n, radius, log_scale, delta,
+                                                                 seed):
+    # the linear body sup re tr_n(c y x1) is c r ||x1||_1 / n; the delta
+    # predicate inf c/2 |x1 - y|^2_tr is c/2 sum (s_i - r)_+^2 / n, with x1
+    # scaled to operator norm 2r so that it is positive.  The value is exact up
+    # to 1e-9 relative or the acceptance margin 1e-15 of a line-search trial,
+    # which a body of scale 1e-6 reaches.  The Frank-Wolfe gap
+    # r ||g||_1 / n - re tr_n(g^* y) of the ascended function at the returned
+    # point bounds how far its value is from the optimum.  For the linear body
+    # it is 1e-9 relative; for the delta predicate it is first order in the
+    # distance to the optimum, whose value is second order (up to 7e-4
+    # relative at 1e-6 scale, as at 8 starts, whose first start is this one)
+    scale = 10.0 ** log_scale
+    a = mc.sample_ginibre(n, 1, mc.Seed(seed)).entries[0]
+    if delta:
+        a = a * (2.0 * radius / np.linalg.norm(a, ord=2))
+        text = f"inf{{y:{radius!r}}} {scale!r}*0.5*tr((x1-y)'*(x1-y))"
+    else:
+        text = f"sup{{y:{radius!r}}} re tr({scale!r}*y*x1)"
+    s = np.linalg.svd(a, compute_uv=False)
+    oracle = scale * (0.5 * np.sum(np.maximum(s - radius, 0.0) ** 2) if delta
+                      else radius * s.sum()) / n
+    with pytest.MonkeyPatch.context() as mp:
+        runs = spy_ascents(mp)
+        v = logic.evaluate(parse(text), mc.MatrixTuple(a[None]))
+    assert len(runs) == 1
+    assert v == pytest.approx(oracle, rel=1e-9, abs=logic._GAIN_MARGIN)
+    fy, y = runs[0]
+    assert fy == (-v if delta else v)
+    g = scale * (a - y) if delta else scale * a.conj().T
+    gap = radius * np.linalg.svd(g, compute_uv=False).sum() / n - np.vdot(g, y).real / n
+    assert abs(v - oracle) <= gap + 1e-13 * oracle
+    if not delta:
+        assert gap <= 1e-9 * oracle
+
+
+def test_certified_quantifier_draws_nothing_from_its_rng(monkeypatch):
+    x = random_tuple(4, 1, np.random.default_rng(30))
+
+    def rng(self):
+        raise AssertionError("a certified quantifier drew from its RNG")
+
+    monkeypatch.setattr(mc.Seed, "rng", rng)
+    runs = spy_ascents(monkeypatch)
+    logic.evaluate(delta_predicate(1.0), x, EvalOptions(starts=5))
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("body,value", [
+    ("sqrt(re tr(y'*y))", "0x1.0000000000002p+0"),
+    ("sqrt(re tr(y'*y*x1'*x1))", "0x1.ac9b472ae5c90p-1"),
+])
+def test_uncertified_quantifier_keeps_every_start_and_its_bits(monkeypatch, body, value):
+    # an uncertified body runs every start, from the same points, to the same bits
+    runs = spy_ascents(monkeypatch)
+    v = logic.evaluate(parse(f"sup{{y:1.0}} {body}"), mc.sample_ginibre(3, 1, mc.Seed(5)),
+                       EvalOptions(seed=mc.Seed(7)))
+    assert len(runs) == EvalOptions().starts
+    assert v.hex() == value
 
 
 def test_quantifier_gradient_only_at_the_latest_value_point(monkeypatch):
@@ -609,6 +726,20 @@ def test_eval_options_reject_a_non_positive_or_non_finite_step(step):
     with pytest.raises(ValueError, match="step"):
         EvalOptions(step=step)
     assert EvalOptions(step=0.5).step == 0.5 and EvalOptions().step is None
+
+
+@pytest.mark.parametrize("name,value", [("tol", np.nan), ("tol", np.inf), ("tol", 0.0),
+                                        ("tol", -1e-9), ("max_depth", -1)])
+def test_eval_options_reject_a_bad_tol_or_max_depth(name, value):
+    # a non-finite tol made the step floor non-finite, so every ascent stopped
+    # at its start; max_depth -1 refused even quantifier-free formulas
+    with pytest.raises(ValueError, match=name):
+        EvalOptions(**{name: value})
+    x = mc.sample_ginibre(4, 1, mc.Seed(1))
+    assert logic.evaluate(parse("re tr(x1)"), x, EvalOptions(max_depth=0)) \
+        == pytest.approx(np.trace(x.entries[0]).real / 4, rel=1e-14)
+    oracle = np.linalg.svd(x.entries[0], compute_uv=False).sum() / 4
+    assert logic.evaluate(parse("sup{y:1.0} re tr(y*x1)"), x) == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
