@@ -848,12 +848,7 @@ class _SlotQuant(Formula):
     slot: int
     qid: int  # pre-order quantifier number: a fixed RNG stream per quantifier
     body: Formula
-    curvature: str | None  # of the body in its slot, see ``_curvature``
-
-    @property
-    def certified(self) -> bool:
-        """Whether every local optimum of the body over the ball is the global one."""
-        return self.curvature in ("constant", "affine", "concave" if self.sign > 0 else "convex")
+    certified: bool  # every local optimum of the body over the ball is the global one
 
 
 _FLIP = {"convex": "concave", "concave": "convex"}
@@ -891,10 +886,9 @@ def _curvature(f: Formula, slot: int) -> str | None:
 
     A node in which the slot does not occur is constant.  Sums and negations
     combine curvatures, as do products with a Const and quotients by one (a
-    negative Const flips convex and concave); min of concave or affine
-    arguments is concave, max of convex or affine ones convex.  Every other
-    connective of the slot, and a quantifier whose body holds it, is
-    uncertified.
+    negative Const flips convex and concave).  Every other connective of the
+    slot, and a quantifier whose body holds it, is uncertified: min and max
+    among them, whose kinks an ascent from one start can stall on.
     """
     if isinstance(f, Const):
         return "constant"
@@ -906,10 +900,6 @@ def _curvature(f: Formula, slot: int) -> str | None:
     if all(p == "constant" for p in parts):
         return "constant"
     if isinstance(f, Call):
-        if f.func == "min" and set(parts) <= {"constant", "affine", "concave"}:
-            return "concave"
-        if f.func == "max" and set(parts) <= {"constant", "affine", "convex"}:
-            return "convex"
         return None
     if f.op == "neg":
         return _FLIP.get(parts[0], parts[0])
@@ -930,9 +920,8 @@ def _compile(f: Formula, m: int) -> tuple[Formula, int]:
 
     Each quantifier's variable gets its own slot after the m free ones; names
     resolve lexically, so an inner binder of a name shadows the outer one.
-    A connective of constants is folded into one Const of the same value, so
-    that a negative literal such as -2.0 is a Const.  Each quantifier records
-    the curvature of its body in its slot.
+    Each quantifier records whether its body is certified concave in its slot
+    (convex for inf, affine for either; see ``_curvature``).
     """
     qids = 0
 
@@ -941,15 +930,13 @@ def _compile(f: Formula, m: int) -> tuple[Formula, int]:
         if isinstance(node, Atom):
             return _SlotAtom(tuple(compile_poly(node.poly, bound, m)), node.take_real)
         if isinstance(node, (Arith, Call)):
-            args = tuple(walk(a, bound) for a in node.args)
-            if all(isinstance(a, Const) for a in args):  # -2.0, 0.5*3.0: the same float
-                return Const(_connective(node, [a.value for a in args])[0])
-            return replace(node, args=args)
+            return replace(node, args=tuple(walk(a, bound) for a in node.args))
         if isinstance(node, Quant):
             qid, qids = qids, qids + 1
             body = walk(node.body, {**bound, node.var: m + qid})
+            certified = ("constant", "affine", "concave" if node.kind == "sup" else "convex")
             return _SlotQuant(1.0 if node.kind == "sup" else -1.0, node.radius, m + qid,
-                              qid, body, _curvature(body, m + qid))
+                              qid, body, _curvature(body, m + qid) in certified)
         return node
 
     compiled = walk(f, {})
@@ -1067,7 +1054,7 @@ def _project_ball(y: np.ndarray, radius: float) -> np.ndarray:
 def _eval_quant(f: _SlotQuant, env: list, opts: EvalOptions, slots=None):
     """(value, gradient) of a sup/inf node: the best of projected ascents from several starts.
 
-    A certified node (see ``_SlotQuant.certified``) runs one ascent, from the
+    A certified node (``_SlotQuant.certified``, see ``_compile``) runs one ascent, from the
     zero start, and draws nothing from its RNG; any other runs
     ``opts.starts``: zero, radius times the identity, then random points of
     the ball from the node's own stream.

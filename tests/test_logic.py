@@ -298,12 +298,9 @@ def test_nested_quantifier_against_trace_norm_oracle():
     ("sup", "re tr(y*x1)", "affine", True),
     ("inf", "0.5*tr((x1-y)'*(x1-y))", "convex", True),  # the delta predicate
     ("sup", "re tr(y*x1) - re tr(y'*y)", "concave", True),
-    ("sup", "min(re tr(y*x1), -re tr(y'*y))", "concave", True),
     ("sup", "re tr(x1'*x1) - 2.0", "constant", True),
     ("sup", "re tr(y*x1) + sqrt(re tr(x1'*x1))", "affine", True),
-    ("sup", "-2.0*re tr(y*y') + re tr(y*x1)/4.0", "concave", True),
-    ("inf", "re tr(y'*y)/(-2.0)", "concave", False),
-    ("inf", "max(re tr(y'*y), re tr(y*x1))", "convex", True),
+    ("sup", "-(2.0*re tr(y*y')) + re tr(y*x1)/4.0", "concave", True),
     ("sup", "re tr(y'*y)", "convex", False),
     ("sup", "re tr(y*y)", None, False),
     ("sup", "re tr(1i*y'*y)", None, False),
@@ -311,22 +308,32 @@ def test_nested_quantifier_against_trace_norm_oracle():
     ("sup", "re tr(y'*y) - re tr(y*y')", None, False),
     ("sup", "sqrt(re tr(y'*y))", None, False),
     ("sup", "abs(re tr(y))", None, False),
-    ("sup", "max(re tr(y), re tr(y'))", "convex", False),
+    ("sup", "min(re tr(y*x1), -re tr(y'*y))", None, False),  # a kink can stall one start
+    ("sup", "max(re tr(y), re tr(y'))", None, False),
     ("sup", "re tr(y)*re tr(y)", None, False),
-    ("sup", "re tr(x1)*re tr(y)", None, False),  # a factor that is not a literal
+    ("sup", "re tr(x1)*re tr(y)", None, False),
+    ("sup", "-2.0*re tr(y)", None, False),  # the factor -2.0 is neg(2.0), not a Const
     ("sup", "(re tr(y))^1.0", None, False),
     ("sup", "inf{w:1.0} re tr(y*w)", None, False),  # a quantifier over a body holding y
 ])
 def test_body_curvature_table(kind, body, curvature, certified):
     q, _ = logic._compile(parse(f"{kind}{{y:1.0}} {body}"), 1)
-    assert q.curvature == curvature
+    assert logic._curvature(q.body, q.slot) == curvature
     assert q.certified == certified
 
 
-def test_inner_quantifier_gets_its_own_curvature():
+def test_a_negative_const_factor_flips_the_curvature():
+    q, _ = logic._compile(parse("sup{y:1.0} 2.0*re tr(y'*y)"), 1)
+    atom = q.body.args[1]
+    assert logic._curvature(q.body, q.slot) == "convex"
+    assert logic._curvature(logic.Arith("*", (logic.Const(-2.0), atom)), q.slot) == "concave"
+    assert logic._curvature(logic.Arith("/", (atom, logic.Const(-2.0))), q.slot) == "concave"
+
+
+def test_inner_quantifier_gets_its_own_certificate():
     outer, _ = logic._compile(parse("sup{y:1.0} inf{w:1.0} re tr(y*w)"), 1)
     assert not outer.certified
-    assert outer.body.curvature == "affine" and outer.body.certified
+    assert outer.body.certified
 
 
 def spy_ascents(mp):
@@ -363,7 +370,7 @@ def test_certified_quantifier_runs_one_ascent_to_the_svd_oracle(n, radius, log_s
     a = mc.sample_ginibre(n, 1, mc.Seed(seed)).entries[0]
     if delta:
         a = a * (2.0 * radius / np.linalg.norm(a, ord=2))
-        text = f"inf{{y:{radius!r}}} {scale!r}*0.5*tr((x1-y)'*(x1-y))"
+        text = f"inf{{y:{radius!r}}} {0.5 * scale!r}*tr((x1-y)'*(x1-y))"
     else:
         text = f"sup{{y:{radius!r}}} re tr({scale!r}*y*x1)"
     s = np.linalg.svd(a, compute_uv=False)
@@ -406,6 +413,27 @@ def test_uncertified_quantifier_keeps_every_start_and_its_bits(monkeypatch, body
                        EvalOptions(seed=mc.Seed(7)))
     assert len(runs) == EvalOptions().starts
     assert v.hex() == value
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (6, 0)])
+def test_min_and_max_bodies_leave_their_kink(monkeypatch, n, seed):
+    # every trial from the zero start, where re tr(y*x1) and re tr(y*x2) tie
+    # at 0, lowers one of them when re tr(x1^* x2) < 0, so one start reads 0.
+    # The sup of their min lies between its value at y = u / ||u||_op, with
+    # u = x1^*/|x1| + x2^*/|x2|, and r ||(x1 + x2)/2||_1 / n (minimax at t = 1/2)
+    x = mc.sample_ginibre(n, 2, mc.Seed(seed))
+    a, b = x.entries
+    assert np.vdot(a, b).real < 0
+    u = a.conj().T / np.linalg.norm(a) + b.conj().T / np.linalg.norm(b)
+    y = u / np.linalg.norm(u, 2)
+    lower = min(np.trace(y @ a).real, np.trace(y @ b).real) / n
+    upper = np.linalg.svd((a + b) / 2, compute_uv=False).sum() / n
+    runs = spy_ascents(monkeypatch)
+    v = logic.evaluate(parse("sup{y:1.0} min(re tr(y*x1), re tr(y*x2))"), x)
+    w = logic.evaluate(parse("inf{y:1.0} max(re tr(y*x1), re tr(y*x2))"), x)
+    assert len(runs) == 2 * EvalOptions().starts
+    assert 0 < lower <= v <= upper + 1e-12
+    assert -upper - 1e-12 <= w <= -lower < 0
 
 
 def test_quantifier_gradient_only_at_the_latest_value_point(monkeypatch):
