@@ -365,7 +365,7 @@ def test_certified_quantifier_runs_one_ascent_to_the_svd_oracle(n, radius, log_s
     # point bounds how far its value is from the optimum.  For the linear body
     # it is 1e-9 relative; for the delta predicate it is first order in the
     # distance to the optimum, whose value is second order (up to 7e-4
-    # relative at 1e-6 scale, as at 8 starts, whose first start is this one)
+    # relative at 1e-6 scale), so no 1e-9 bound holds for it
     scale = 10.0 ** log_scale
     a = mc.sample_ginibre(n, 1, mc.Seed(seed)).entries[0]
     if delta:
