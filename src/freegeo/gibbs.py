@@ -45,7 +45,7 @@ import numpy as np
 
 from . import logic
 from .convex import check_strong_convexity
-from .matcore import MatrixTuple, Seed, tracial_norm
+from .matcore import MatrixTuple, Seed, sigma_max, tracial_norm
 
 __all__ = [
     "Potential",
@@ -235,7 +235,7 @@ class Ensemble:
         return float(np.sum(np.abs(self.samples) ** 2) / (self.n * self.count))
 
     def conjugate_by(self, u: np.ndarray) -> "Ensemble":
-        rotated = np.einsum("ab,sjbc,dc->sjad", u, self.samples, np.conj(u))
+        rotated = u @ self.samples @ u.conj().T
         return Ensemble(rotated, dict(self.provenance), dict(self.diagnostics))
 
 
@@ -569,12 +569,8 @@ def norm_tail_check(e: Ensemble, c: float, deltas=None) -> TailReport:
     """Smallest Theta with ``freq{||X_j - mean|| > c^{-1/2}(Theta + delta)} <= 2 exp(-n delta^2)``
     at every grid point delta."""
     deltas = np.asarray(deltas if deltas is not None else np.linspace(0.1, 1.5, 8))
-    mean = e.mean_tuple()
-    stats = np.array([
-        math.sqrt(c) * float(np.linalg.norm(e.samples[i, j] - mean.entries[j], ord=2))
-        for i in range(e.count)
-        for j in range(e.m)
-    ])
+    centred = (e.samples - e.samples.mean(axis=0)).reshape(-1, e.n, e.n)
+    stats = math.sqrt(c) * sigma_max(centred)
     stats.sort()
     total = stats.size
     theta = 0.0

@@ -13,7 +13,8 @@ import numpy as np
 
 from .. import entropy as en
 from .. import gibbs, logic, transport as tp
-from ..matcore import MatrixTuple, Seed, real_inner, sample_gue, tensor_embed, tracial_norm
+from ..matcore import (MatrixTuple, Seed, real_inner, sample_gue, sigma_max, tensor_embed,
+                       tracial_norm)
 from .config import RunConfig, parse_float_list, parse_str_list
 from .report import Metric, Report
 
@@ -74,7 +75,10 @@ def run_counterexample(cfg: RunConfig) -> Report:
     for i in range(samples):
         x, y, (mom_g3, mom_s3) = _counterexample_draw(eps, k, l, seed.derive(i))
         c13 = x.entries[0] @ x.entries[2] - x.entries[2] @ x.entries[0]
-        comm_op = float(np.linalg.norm(c13, ord=2))
+        # y shares slots 0-1 with x, so R needs only x and y's third slot
+        norms = sigma_max(np.stack([c13, *x.entries, y.entries[2]]))
+        comm_op = float(norms[0])
+        max_opnorm = max(max_opnorm, float(np.max(norms[1:])))
         comm_tr = float(np.sqrt(np.sum(np.abs(c13) ** 2) / n))
         d2 = tracial_norm(x - y) ** 2
         # unbiased control-variate estimate: E tr(G3^2) = E tr(S3'^2) = 1 exactly,
@@ -87,8 +91,6 @@ def run_counterexample(cfg: RunConfig) -> Report:
         dist2s.append(d2)
         dist2s_cv.append(d2_cv)
         spectral.append(sw)
-        for mat in (*x.entries, *y.entries):
-            max_opnorm = max(max_opnorm, float(np.linalg.norm(mat, ord=2)))
         rows.append({"sample": i, "commutator_opnorm": comm_op,
                      "commutator_trnorm": comm_tr, "coupled_dist2": d2,
                      "coupled_dist2_controlled": d2_cv, "spectral_w2": sw})

@@ -222,10 +222,15 @@ def spectral_w2_1d(x: np.ndarray, y: np.ndarray, atol: float = 1e-10) -> float:
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("inputs must be square matrices of the same size")
-    if not np.allclose(x, x.conj().T, atol=atol) or not np.allclose(y, y.conj().T, atol=atol):
-        raise ValueError("spectral_w2_1d requires Hermitian inputs")
-    ex = np.sort(np.linalg.eigvalsh(x))
-    ey = np.sort(np.linalg.eigvalsh(y))
+    for a in (x, y):
+        if not np.all(np.isfinite(a)):
+            raise ValueError("spectral_w2_1d input has non-finite entries")
+        # the predicate of np.allclose(a, a^H, atol=atol) at its rtol 1e-5
+        ah = a.conj().T
+        if not np.all(np.abs(a - ah) <= atol + 1e-5 * np.abs(ah)):
+            raise ValueError("spectral_w2_1d requires Hermitian inputs")
+    ex = np.linalg.eigvalsh(x)  # ascending: the quantile coupling
+    ey = np.linalg.eigvalsh(y)
     return float(np.sqrt(np.mean((ex - ey) ** 2)))
 
 

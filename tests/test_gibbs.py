@@ -563,6 +563,17 @@ def test_unitary_conjugation_invariance_of_statistics():
     assert v1 == pytest.approx(v0, abs=1e-9)
 
 
+def test_conjugate_by_matches_slotwise_products():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    samples = rng.normal(size=(4, 2, 5, 5)) + 1j * rng.normal(size=(4, 2, 5, 5))
+    want = np.array([[q @ x @ q.conj().T for x in tup] for tup in samples])
+    ens = gibbs.Ensemble(samples)
+    np.testing.assert_allclose(ens.conjugate_by(q).samples, want, rtol=0.0, atol=1e-13)
+    for i, x in enumerate(ens.tuples()):
+        np.testing.assert_allclose(x.conjugate_by(q).entries, want[i], rtol=0.0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # gradient_at_zero
 

@@ -17,7 +17,7 @@ from freegeo.lab import experiments as ex
 from freegeo.lab.cli import main as cli_main
 from freegeo.lab.config import ConfigError, RunConfig
 from freegeo.lab.report import Metric, Report
-from freegeo.matcore import MatrixTuple
+from freegeo.matcore import MatrixTuple, Seed
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,18 @@ def test_counterexample_rejects_more_samples_than_seed_streams(monkeypatch):
     cfg = RunConfig.from_dict("counterexample", {"samples": 65536, "k": 4, "l": 4})
     with pytest.raises(ValueError, match="samples <= 65535"):
         ex.run_counterexample(cfg)
+
+
+def test_counterexample_r_is_max_svd_norm_of_both_tuples():
+    cfg = RunConfig.from_dict("counterexample", {"samples": 4, "k": 4, "l": 4})
+    rep = ex.run_counterexample(cfg)
+    oracle = 0.0
+    for i in range(4):
+        x, y, _ = ex._counterexample_draw(cfg["epsilon"], 4, 4, Seed(cfg["seed"]).derive(i))
+        for mat in (*x.entries, *y.entries):
+            oracle = max(oracle, np.linalg.svd(mat, compute_uv=False)[0])
+    r = rep.metrics["tradeoff_inequality"].slack["R"]
+    assert r == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_bound_metrics_print_slack():

@@ -85,6 +85,35 @@ def test_operator_norm_svd_oracle():
     assert mc.operator_norm(x) == pytest.approx(oracle, abs=1e-10)
 
 
+@given(n=st.integers(1, 16), hermitian=st.booleans(), log_scale=st.floats(-300, 300),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sigma_max_matches_svd(n, hermitian, log_scale, seed):
+    # entry scales 1e-300..1e300: squaring unscaled entries would leave the
+    # double range at either end
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    if hermitian:
+        a = a + np.conj(np.swapaxes(a, 1, 2))
+    a *= 10.0 ** log_scale
+    oracle = np.array([np.linalg.svd(mat, compute_uv=False)[0] for mat in a])
+    np.testing.assert_allclose(mc.sigma_max(a), oracle, rtol=1e-12, atol=0.0)
+
+
+def test_sigma_max_zero_matrix():
+    assert mc.sigma_max(np.zeros((2, 5, 5), dtype=complex)).tolist() == [0.0, 0.0]
+    assert mc.operator_norm(mc.MatrixTuple.zero(4, 3)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_operator_norm_rejects_non_finite_entries(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    x = mc.MatrixTuple(np.stack([np.eye(3), a]))
+    with pytest.raises(ValueError, match="non-finite"):
+        mc.operator_norm(x)
+
+
 def test_sa_embedding_hermitian_input():
     h = RNG.normal(size=(4, 4))
     h = h + h.T

@@ -289,6 +289,14 @@ def test_spectral_requires_hermitian():
         tp.spectral_w2_1d(bad, bad)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_spectral_rejects_non_finite_entries(bad):
+    eye = np.eye(2)
+    for a, b in ((np.diag([bad, 1.0]), eye), (eye, np.diag([1.0, bad]))):
+        with pytest.raises(ValueError, match="non-finite"):
+            tp.spectral_w2_1d(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Quantile1D and Kantorovich potentials
 
