@@ -179,8 +179,10 @@ def sigma_max(mats: np.ndarray) -> np.ndarray:
 
     One batched ``eigvalsh`` of the Gram stack X*X.  Each matrix is divided by
     its largest entry modulus first, so that squaring neither overflows nor
-    underflows; its relative error is then that of the largest Gram eigenvalue,
-    O(n) roundings.  A zero matrix gives 0; a non-finite entry raises.
+    underflows, and the Gram of a nonzero matrix then has a diagonal entry, so
+    a largest eigenvalue, of at least 1.  The relative error is that of this
+    eigenvalue, O(n) roundings.  A zero matrix gives 0; a non-finite entry
+    raises.
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -191,7 +193,7 @@ def sigma_max(mats: np.ndarray) -> np.ndarray:
     scale[scale == 0.0] = 1.0
     b = a / scale[:, None, None]
     top = np.linalg.eigvalsh(np.swapaxes(b.conj(), 1, 2) @ b)[:, -1]
-    return scale * np.sqrt(np.maximum(top, 0.0))
+    return scale * np.sqrt(top)
 
 
 def operator_norm(x: MatrixTuple) -> float:
