@@ -6,18 +6,19 @@ with the ``+``, ``-`` and scalar ``*`` that all three implement; ``inner`` (on
 MatrixTuples the real part of the tr_n inner product) and the memo key
 ``_point_key`` are the two functions that look at a point's type.  Inner
 minimizations are gradient descent with Barzilai-Borwein steps, stopping when
-the strong-convexity certificate bounds the value error by the tolerance, or
+the strong-convexity certificate bounds the value error by _PROX_TOL, or
 raising ConvergenceError; they take the analytic ``grad`` of the function
 minimised over.
 
 The derived functions ``hopf_lax``, ``legendre_fn`` and the generic branch of
 the interpolation pair solve one prox per point for their value and gradient
 together, and remember the last _MEMO_SIZE points they solved at (first in,
-first out), keyed by the point's type, dtype, shape and bytes.  A solve is
-deterministic, so a remembered answer is the bits a fresh solve would give.
-An entry holds the key bytes and one gradient, 2 MiB each for MatrixTuple
-points with n = 256, m = 2, so a live derived function then holds at most
-16 x 4 MiB = 64 MiB.
+first out), keyed by the point's type, dtype, shape and bytes;
+``inf_convolution`` and ``legendre_strongly_convex`` are the values of the
+first two at one point.  A solve is deterministic, so a remembered answer is
+the bits a fresh solve would give.  An entry holds the key bytes and one
+gradient, 2 MiB each for MatrixTuple points with n = 256, m = 2, so a live
+derived function then holds at most 16 x 4 MiB = 64 MiB.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .matcore import MatrixTuple, real_inner
 
 __all__ = [
     "ScalarFn",
-    "ProxOptions",
     "InterpolationPair",
     "ConvexityReport",
     "inner",
@@ -62,6 +62,14 @@ class AdmissibilityError(ValueError):
 
 
 _MEMO_SIZE = 16  # points remembered per derived function
+
+# The inner prox solve: value-accuracy target of its infimum, step budget, and
+# the trial step, as a fraction of t, of the first step and of any step where
+# the last two accepted points show no positive curvature (every other trial
+# is the Barzilai-Borwein step).
+_PROX_TOL = 1e-12
+_PROX_MAX_ITER = 10_000
+_PROX_DAMPING = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -119,28 +127,6 @@ def quadratic_q() -> ScalarFn:
     )
 
 
-@dataclass(frozen=True)
-class ProxOptions:
-    """Settings of the inner prox solve.
-
-    ``damping`` is the trial step, as a fraction of t, of the first step and
-    of any step where the last two accepted points show no positive
-    curvature; every other trial is the Barzilai-Borwein step.
-    """
-
-    tol: float = 1e-12  # value-accuracy target for the inner infimum
-    max_iter: int = 10_000
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
-
-
 # ---------------------------------------------------------------------------
 # Inf-convolution (Hopf-Lax)
 
@@ -150,13 +136,13 @@ def _check_time(t: float) -> None:
         raise ValueError(f"inf-convolution time t must be finite and > 0, got {t}")
 
 
-def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
+def _prox_argmin(phi: ScalarFn, t: float, x):
     """Minimize psi(y) = phi(y) + ||x-y||^2/(2t); returns (y*, psi(y*)).
 
     Each step is y <- (1-a) y + a (x - t grad phi(y)), gradient descent on psi
     with step a*t.  The trial a is the Barzilai-Borwein step
     <s, s> / (t <s, r>) of the last two accepted points (s the change in y, r
-    the change in grad psi), clamped to 1; it is opts.damping on the first
+    the change in grad psi), clamped to 1; it is _PROX_DAMPING on the first
     step and when <s, r> <= 0.  The trial is halved until it decreases psi
     sufficiently below the largest of the last 10 accepted values (the
     nonmonotone Armijo test of Grippo, Lampariello and Lucidi that Raydan pairs
@@ -166,7 +152,7 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     serves as the stopping rule: every returned point carries that
     certificate.  A trial halved to 1e-12 without a decrease (a ``grad`` that
     disagrees with ``fn``, or a phi that is not convex enough) raises
-    ConvergenceError, as does running out of opts.max_iter steps.
+    ConvergenceError, as does running out of _PROX_MAX_ITER steps.
     """
     _check_time(t)
     inv_t = 1.0 / t
@@ -180,14 +166,14 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
     y_prev = g_prev = None
     recent = deque([f_y], maxlen=10)
     armijo = 0.1
-    for _ in range(opts.max_iter):
+    for _ in range(_PROX_MAX_ITER):
         g_phi = phi.gradient(y)
         g_psi = inv_t * (y - x) + g_phi
         g_sq = inner(g_psi, g_psi)
         gap_bound = 0.5 * t * g_sq
-        if gap_bound <= opts.tol:
+        if gap_bound <= _PROX_TOL:
             return y, f_y
-        a = opts.damping
+        a = _PROX_DAMPING
         if y_prev is not None:
             s = y - y_prev
             sr = inner(s, g_psi - g_prev)
@@ -203,14 +189,14 @@ def _prox_argmin(phi: ScalarFn, t: float, x, opts: ProxOptions):
         else:
             raise ConvergenceError(
                 f"proximal line search found no decrease down to a step of 1e-12 at the "
-                f"certificate (t/2)||grad psi||^2 = {gap_bound:.3e} > tol={opts.tol}; "
+                f"certificate (t/2)||grad psi||^2 = {gap_bound:.3e} > tol={_PROX_TOL}; "
                 f"grad may disagree with the function"
             )
         y_prev, g_prev = y, g_psi
         y, f_y = y_new, f_new
         recent.append(f_y)
     raise ConvergenceError(
-        f"proximal iteration did not reach tol={opts.tol} in {opts.max_iter} steps"
+        f"proximal iteration did not reach tol={_PROX_TOL} in {_PROX_MAX_ITER} steps"
     )
 
 
@@ -243,27 +229,25 @@ def _memoised(solve: Callable) -> tuple[Callable, Callable]:
     return (lambda x: lookup(x)[0]), (lambda x: copy.copy(lookup(x)[1]))
 
 
-def inf_convolution(phi: ScalarFn, t: float, x, opts: ProxOptions | None = None) -> float:
-    """inf_y [phi(y) + ||x - y||^2 / (2 t)], up to opts.tol."""
-    _, val = _prox_argmin(phi, t, x, opts or ProxOptions())
-    return val
+def inf_convolution(phi: ScalarFn, t: float, x) -> float:
+    """inf_y [phi(y) + ||x - y||^2 / (2 t)], up to _PROX_TOL: the value of hopf_lax."""
+    return hopf_lax(phi, t)(x)
 
 
-def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> ScalarFn:
+def hopf_lax(phi: ScalarFn, t: float) -> ScalarFn:
     """The inf-convolution phi_t as a ScalarFn with its inherited curvature.
 
     phi_t is always 1/t-semiconcave; u-semiconcavity of phi improves this to
     1/(t + 1/u), and c-strong convexity of phi yields 1/(t + 1/c).
     """
     _check_time(t)
-    opts = opts or ProxOptions()
-    u_inv = 0.0 if math.isinf(phi.semiconcavity) else 1.0 / phi.semiconcavity
-    u_new = 1.0 / (t + u_inv)
+    # 1/inf = 0 gives the bare 1/t; a u = 0 (phi concave, so affine) stays 0
+    u_new = 1.0 / (t + 1.0 / phi.semiconcavity) if phi.semiconcavity > 0 else 0.0
     c_new = 1.0 / (t + 1.0 / phi.strong_convexity) if phi.strong_convexity > 0 else 0.0
 
     def solve(x):
         # grad phi_t(x) = (x - y*) / t with y* the prox point
-        y_star, val = _prox_argmin(phi, t, x, opts)
+        y_star, val = _prox_argmin(phi, t, x)
         return val, (1.0 / t) * (x - y_star)
 
     value, grad = _memoised(solve)
@@ -275,46 +259,34 @@ def hopf_lax(phi: ScalarFn, t: float, opts: ProxOptions | None = None) -> Scalar
 # Legendre transform of strongly convex functions
 
 
-def _legendre_constant(phi: ScalarFn) -> float:
+def legendre_strongly_convex(phi: ScalarFn, y) -> float:
+    """sup_x [<x,y> - phi(x)]: the value of legendre_fn."""
+    return legendre_fn(phi)(y)
+
+
+def legendre_fn(phi: ScalarFn) -> ScalarFn:
+    """The Legendre transform as a ScalarFn: convex and 1/c-semiconcave.
+
+    L(phi)(y) = ||y||^2/(2c) - v with v the value of the prox of phi - c q at
+    time 1/c and point y/c; the prox point x* = grad L(phi)(y) is the maximiser.
+    """
     c = phi.strong_convexity
     if not c > 0:
         raise ValueError(f"the Legendre transform of {phi.name or 'phi'} requires a "
                          f"declared strong-convexity constant c > 0, got {c}")
-    return c
-
-
-def _legendre_prox(phi: ScalarFn, y, opts: ProxOptions | None):
-    """(x*, v) for the prox of phi - c q at time 1/c and point y/c.
-
-    L(phi)(y) = ||y||^2/(2c) - v, and x* = grad L(phi)(y) is the maximiser.
-    """
-    c = _legendre_constant(phi)
     tilde = ScalarFn(
         fn=lambda z: phi(z) - 0.5 * c * inner(z, z),
         grad=lambda z: phi.gradient(z) - c * z,
     )
-    try:
-        return _prox_argmin(tilde, 1.0 / c, (1.0 / c) * y, opts or ProxOptions())
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"inner inf-convolution diverged; declared convexity constant c={c} "
-            f"is likely invalid ({exc})"
-        ) from exc
-
-
-def legendre_strongly_convex(phi: ScalarFn, y, opts: ProxOptions | None = None) -> float:
-    """sup_x [<x,y> - phi(x)] via L(phi)(y) = ||y||^2/(2c) - (phi - c q)_{1/c}(y/c)."""
-    _, val = _legendre_prox(phi, y, opts)
-    return inner(y, y) / (2 * phi.strong_convexity) - val
-
-
-def legendre_fn(phi: ScalarFn, opts: ProxOptions | None = None) -> ScalarFn:
-    """The Legendre transform as a ScalarFn: convex and 1/c-semiconcave."""
-    c = _legendre_constant(phi)
-    opts = opts or ProxOptions()
 
     def solve(y):
-        x_star, val = _legendre_prox(phi, y, opts)
+        try:
+            x_star, val = _prox_argmin(tilde, 1.0 / c, (1.0 / c) * y)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"inner inf-convolution diverged; declared convexity constant c={c} "
+                f"is likely invalid ({exc})"
+            ) from exc
         return inner(y, y) / (2 * c) - val, x_star
 
     value, grad = _memoised(solve)
@@ -342,14 +314,13 @@ class InterpolationPair:
     base_psi: ScalarFn
     phi_st: ScalarFn = field(init=False)
     psi_st: ScalarFn = field(init=False)
-    prox_opts: ProxOptions = field(default_factory=ProxOptions)
 
     def __post_init__(self):
-        self.phi_st = _interp_fn(self.base_phi, self.s, self.t, self.prox_opts)
-        self.psi_st = _interp_fn(self.base_psi, 1.0 - self.t, 1.0 - self.s, self.prox_opts)
+        self.phi_st = _interp_fn(self.base_phi, self.s, self.t)
+        self.psi_st = _interp_fn(self.base_psi, 1.0 - self.t, 1.0 - self.s)
 
 
-def _interp_fn(phi: ScalarFn, s: float, t: float, opts: ProxOptions) -> ScalarFn:
+def _interp_fn(phi: ScalarFn, s: float, t: float) -> ScalarFn:
     """The function phi_{s,t} of the interpolation construction.
 
     Boundary cases dispatch to closed forms: s = t gives q, s = 0 gives
@@ -381,7 +352,7 @@ def _interp_fn(phi: ScalarFn, s: float, t: float, opts: ProxOptions) -> ScalarFn
     mix = (t - s) / (1 - s)
 
     def solve(x):
-        y_star, val = _prox_argmin(scaled, s, x, opts)
+        y_star, val = _prox_argmin(scaled, s, x)
         return (0.5 * quad_coeff * inner(x, x) + mix * val,
                 quad_coeff * x + mix * ((1.0 / s) * (x - y_star)))
 
@@ -397,18 +368,17 @@ def interpolation_pair(
     s: float,
     t: float,
     admissibility_samples: list[tuple] | None = None,
-    tol: float = 1e-8,
-    prox_opts: ProxOptions | None = None,
 ) -> InterpolationPair:
-    """Build (phi_{s,t}, psi_{s,t}); optionally spot-check admissibility first."""
+    """Build (phi_{s,t}, psi_{s,t}); optionally spot-check admissibility first,
+    allowing each sampled duality gap a shortfall of 1e-8 below 0."""
     if admissibility_samples:
         for x, y in admissibility_samples:
             gap = duality_gap(phi, psi, x, y)
-            if gap < -tol:
+            if gap < -1e-8:
                 raise AdmissibilityError(
                     f"pair violates phi(x)+psi(y) >= <x,y> by {-gap:.3e} at a sampled pair"
                 )
-    return InterpolationPair(s, t, phi, psi, prox_opts=prox_opts or ProxOptions())
+    return InterpolationPair(s, t, phi, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,8 @@ def load_ensemble(path) -> Ensemble:
     version, n, m, count = _FIGE_HEADER.unpack_from(data, len(FIGE_MAGIC))
     if version != FIGE_VERSION:
         raise ValueError(f"{path}: unsupported FIGE version {version}")
+    if n < 1 or m < 1:
+        raise ValueError(f"{path}: header declares n {n} and m {m}; both must be >= 1")
     size = count * m * n * n
     if 16 * size > len(data) - start:
         raise ValueError(f"{path}: header declares {16 * size} sample bytes "
@@ -531,14 +533,14 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 # Quantitative diagnostics
 
 
-def gradient_at_zero(pot: Potential, r_list, m: int | None = None, n: int = 8):
+def gradient_at_zero(pot: Potential, r_list):
     """Scalar-tuple subgradient estimate at 0 plus the box bound per radius.
 
-    The bound is (1/R) sup over the real box [-R, R]^m of scalar tuples of
-    phi - phi(0); convexity puts the sup at a vertex, so it is evaluated
-    exactly on the 2^m vertices.
+    The bound is (1/R) sup over the real box [-R, R]^m of scalar tuples (at
+    n = 8, m the potential's slots) of phi - phi(0); convexity puts the sup at
+    a vertex, so it is evaluated exactly on the 2^m vertices.
     """
-    m = m if m is not None else pot._m()
+    m, n = pot._m(), 8
     zero = MatrixTuple.zero(n, m)
     g = pot.gradient(zero)
     estimate = np.array([np.trace(g.entries[j]) / n for j in range(m)])
@@ -603,19 +605,18 @@ class ExpectationBoundReport:
         return self.sufficient_samples and self.lhs <= self.rhs
 
 
-def expectation_bound_check(e: Ensemble, pot: Potential,
-                            eval_opts: logic.EvalOptions | None = None,
-                            min_samples: int = 8) -> ExpectationBoundReport:
+def expectation_bound_check(e: Ensemble, pot: Potential) -> ExpectationBoundReport:
     """Check (E ||X||^2)^{1/2} <= c^{-1/2} m^{1/2} + c^{-1} C m^{1/2}.
 
     C = sup of phi - phi(0) over the unit operator-norm ball, estimated with
     a sup-quantifier formula per slot.  The companion value with the extra
     sqrt(2) from the dimension count of the underlying real space is reported
-    alongside.
+    alongside.  An ensemble of fewer than 8 samples gives a NaN report marked
+    insufficient.
     """
     m, n = e.m, e.n
     c = pot.c
-    if e.count < min_samples:
+    if e.count < 8:
         return ExpectationBoundReport(float("nan"), float("nan"), float("nan"),
                                       float("nan"), False)
     phi0 = pot.value(MatrixTuple.zero(n, m))
@@ -624,7 +625,7 @@ def expectation_bound_check(e: Ensemble, pot: Potential,
     for j in range(m):
         text = f"sup{{b{j + 1}:1.0}} " + text.replace(f"x{j + 1}", f"b{j + 1}")
     f = logic.parse(f"({text}) - {logic._fmt_num(phi0)}")
-    opts = eval_opts or logic.EvalOptions(starts=4, iters=120, max_depth=max(2, m))
+    opts = logic.EvalOptions(starts=4, iters=120, max_depth=max(2, m))
     c_const = logic.evaluate(f, MatrixTuple.zero(n, 1), opts)
     lhs = math.sqrt(e.mean_squared_norm())
     rhs = math.sqrt(m) * (c ** -0.5 + c_const / c)
@@ -646,15 +647,16 @@ class HerbstReport:
 
 
 def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
-                 lipschitz: float | None = None, deltas=None,
+                 lipschitz: float | None = None,
                  eval_opts: logic.EvalOptions | None = None) -> HerbstReport:
     """Empirical deviation frequencies of a Lipschitz formula against
     2 exp(-c n^2 delta^2 / 2 L^2), with a 3-sigma binomial allowance per grid point.
 
-    If no Lipschitz constant is supplied it is estimated as the largest
-    sampled gradient norm (difference quotients between random samples
-    underestimate L badly in high dimension), from the formula's analytic
-    gradient: cyclic derivative plus envelope rule.
+    The grid is delta = k L / (n sqrt(c)) for k in 1, 1.5, 2, 2.5, 3, 4.  If no
+    Lipschitz constant is supplied it is estimated as the largest sampled
+    gradient norm (difference quotients between random samples underestimate
+    L badly in high dimension), from the formula's analytic gradient: cyclic
+    derivative plus envelope rule.
     """
     ast = logic.parse(f) if isinstance(f, str) else f
     opts = eval_opts or logic.EvalOptions()
@@ -663,8 +665,7 @@ def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
         lipschitz = max(_formula_lipschitz(ast, e, opts), 1e-12)
     n = e.n
     scale = lipschitz / (n * math.sqrt(c))
-    deltas = np.asarray(deltas if deltas is not None else
-                        [k * scale for k in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)])
+    deltas = np.asarray([k * scale for k in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)])
     dev = np.abs(vals - vals.mean())
     count = e.count
     freqs = np.array([float(np.mean(dev >= d)) for d in deltas])
@@ -677,9 +678,8 @@ def herbst_check(e: Ensemble, f: logic.Formula | str, c: float,
     return HerbstReport(deltas, freqs, bounds, slack, lipschitz)
 
 
-def _formula_lipschitz(ast: logic.Formula, e: Ensemble, opts: logic.EvalOptions,
-                       max_samples: int = 12) -> float:
-    """Largest gradient norm of the formula over a few ensemble members."""
-    idx = range(0, e.count, max(1, e.count // max_samples))
+def _formula_lipschitz(ast: logic.Formula, e: Ensemble, opts: logic.EvalOptions) -> float:
+    """Largest gradient norm of the formula over about 12 evenly spaced ensemble members."""
+    idx = range(0, e.count, max(1, e.count // 12))
     return max((tracial_norm(logic.value_and_gradient(ast, e[i], opts)[1]) for i in idx),
                default=0.0)

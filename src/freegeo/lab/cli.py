@@ -16,9 +16,9 @@ from .. import entropy as en
 from .. import gibbs, logic
 from ..matcore import Seed
 from .config import ConfigError, RunConfig
-from .experiments import run_experiment
+from .experiments import RUNNERS, run_experiment
 
-EXPERIMENT_COMMANDS = ("counterexample", "talagrand", "geodesic", "moment", "qfconv")
+EXPERIMENT_COMMANDS = tuple(RUNNERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -167,5 +167,5 @@ def parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def parse_str_list(text: str, sep: str = ";") -> list[str]:
-    return [tok.strip() for tok in str(text).split(sep) if tok.strip()]
+def parse_str_list(text: str) -> list[str]:
+    return [tok.strip() for tok in str(text).split(";") if tok.strip()]

@@ -61,6 +61,10 @@ def run_counterexample(cfg: RunConfig) -> Report:
     eps = cfg["epsilon"]
     k, l, samples = cfg["k"], cfg["l"], cfg["samples"]
     n = k * l
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if n > 256:
         raise ValueError("counterexample supports n = k*l <= 256")
     if samples > 65535:
@@ -185,6 +189,8 @@ def run_talagrand(cfg: RunConfig) -> Report:
     gamma = cfg["quartic"]
     alpha = cfg["tilt"]
     samples = cfg["samples"]
+    if cfg["seeds"] < 1:
+        raise ValueError(f"seeds must be >= 1, got {cfg['seeds']}")
     report = Report("talagrand", cfg)
 
     base = gibbs.Potential.quadratic(c, m)
@@ -250,15 +256,14 @@ def run_talagrand(cfg: RunConfig) -> Report:
 # Geodesic entropy sandwich (classical low-dimensional analog)
 
 
-def _gaussian_map(mean0, cov0, mean1, cov1):
-    """Optimal transport map between Gaussians: T(x) = m1 + A (x - m0)."""
+def _gaussian_map(cov0, cov1):
+    """A of the optimal transport map T(x) = m1 + A (x - m0) between Gaussians."""
     s0 = np.atleast_2d(cov0)
     s1 = np.atleast_2d(cov1)
     r0 = _sqrtm_sym(s0)
     r0i = np.linalg.inv(r0)
     mid = _sqrtm_sym(r0 @ s1 @ r0)
-    a = r0i @ mid @ r0i
-    return a
+    return r0i @ mid @ r0i
 
 
 def _sqrtm_sym(s):
@@ -284,11 +289,13 @@ def run_geodesic(cfg: RunConfig) -> Report:
     cov0 = np.diag(_broadcast_vec(cfg["cov0"], dim, 1.0))
     cov1 = np.diag(_broadcast_vec(cfg["cov1"], dim, 1.0))
     grid = parse_float_list(cfg["grid"])
+    if not all(0 < t < 1 for t in grid):
+        raise ValueError(f"grid points must lie in (0, 1), got {cfg['grid']!r}")
     tol = cfg["tolerance"]
     rng = Seed(cfg["seed"]).rng()
     report = Report("geodesic", cfg)
 
-    a = _gaussian_map(mean0, cov0, mean1, cov1)
+    a = _gaussian_map(cov0, cov1)
     base = rng.multivariate_normal(mean0, cov0, size=cfg["samples"])
     tmap = lambda x: mean1[None, :] + (x - mean0[None, :]) @ a.T
 
@@ -350,6 +357,8 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
         raise ValueError(f"regularization t must be finite and > 0, got {t_reg}")
     if cfg["matrix_scale"]:
         return run_moment_matrix_scale(cfg)
+    if cfg["grid_points"] < 2:
+        raise ValueError(f"grid_points must be >= 2, got {cfg['grid_points']}")
     from scipy.special import ndtri  # the Gaussian quantile that norm.ppf calls
 
     report = Report("moment", cfg)
@@ -565,6 +574,10 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
     formulas = parse_str_list(cfg["formulas"])
     m = cfg["m"]
     samples = cfg["samples"]
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 (the spread needs two values), got {samples}")
+    if not ladder:
+        raise ValueError(f"n_ladder must name at least one size, got {cfg['n_ladder']!r}")
     report = Report("qfconv", cfg)
     pot = gibbs.Potential.quadratic(cfg["c"], m)
     parsed = [(text, logic.parse(text)) for text in formulas]

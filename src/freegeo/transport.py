@@ -189,9 +189,9 @@ def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
     return mx + np.log(np.sum(np.exp(s - mx[:, None]), axis=1))
 
 
-def optimal_inner_product(a: Ensemble, b: Ensemble, method: str = "exact"):
-    """C(a, b) = (E||x||^2 + E||y||^2 - W2^2) / 2; equals the paired mean inner product."""
-    w2, plan = empirical_w2(a, b, method=method)
+def optimal_inner_product(a: Ensemble, b: Ensemble):
+    """C(a, b) = (E||x||^2 + E||y||^2 - W2^2) / 2 by exact assignment; the paired mean."""
+    _, plan = empirical_w2(a, b)
     ex = a.mean_squared_norm()
     ey = b.mean_squared_norm()
     c_val = 0.5 * (ex + ey - plan.cost)
@@ -213,7 +213,7 @@ def displacement(plan: TransportPlan, t: float) -> Ensemble:
     return Ensemble(mixed, prov, {})
 
 
-def spectral_w2_1d(x: np.ndarray, y: np.ndarray, atol: float = 1e-10) -> float:
+def spectral_w2_1d(x: np.ndarray, y: np.ndarray) -> float:
     """W2 between empirical spectral distributions of two Hermitian matrices.
 
     Sorted-eigenvalue (quantile) coupling, exact in one dimension.
@@ -225,9 +225,9 @@ def spectral_w2_1d(x: np.ndarray, y: np.ndarray, atol: float = 1e-10) -> float:
     for a in (x, y):
         if not np.all(np.isfinite(a)):
             raise ValueError("spectral_w2_1d input has non-finite entries")
-        # the predicate of np.allclose(a, a^H, atol=atol) at its rtol 1e-5
+        # the predicate of np.allclose(a, a^H, atol=1e-10) at its rtol 1e-5
         ah = a.conj().T
-        if not np.all(np.abs(a - ah) <= atol + 1e-5 * np.abs(ah)):
+        if not np.all(np.abs(a - ah) <= 1e-10 + 1e-5 * np.abs(ah)):
             raise ValueError("spectral_w2_1d requires Hermitian inputs")
     ex = np.linalg.eigvalsh(x)  # ascending: the quantile coupling
     ey = np.linalg.eigvalsh(y)

@@ -774,6 +774,17 @@ def test_fige_corrupt_files_fail_clearly(tmp_path, small_fige):
         assert str(path) in str(info.value), name
 
 
+@pytest.mark.parametrize("n, m", [(2, 0), (0, 1)])
+def test_fige_header_with_no_matrices_fails_clearly(tmp_path, n, m):
+    # m = 0 used to load, and w2 reported 0.0; n = 0 failed later with "invalid
+    # numeric entries" or "m and n must be positive", neither naming the file
+    path = tmp_path / "empty_shape.fige"
+    gibbs.save_ensemble(gibbs.Ensemble(np.zeros((3, m, n, n), dtype=complex)), path)
+    with pytest.raises(ValueError) as info:
+        gibbs.load_ensemble(path)
+    assert str(info.value) == f"{path}: header declares n {n} and m {m}; both must be >= 1"
+
+
 @settings(max_examples=300, deadline=None)
 @given(op=st.sampled_from(["truncate", "extend", "header"]), data=st.data())
 def test_fige_fuzz_fails_clearly_or_loads_exactly(tmp_path_factory, small_fige, op, data):

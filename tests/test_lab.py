@@ -331,6 +331,35 @@ def test_cli_moment_rejects_a_non_finite_t(tmp_path, capsys, t, matrix_scale):
         f"error: regularization t must be finite and > 0, got {float(t)}\n")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("talagrand", "seeds = 0", "seeds must be >= 1, got 0"),
+    ("moment", "grid_points = 1", "grid_points must be >= 2, got 1"),
+    ("geodesic", "grid = 0,0.5", "grid points must lie in (0, 1), got '0,0.5'"),
+    ("geodesic", "grid = 0.5,1", "grid points must lie in (0, 1), got '0.5,1'"),
+    ("counterexample", "samples = 0", "samples must be >= 1, got 0"),
+    ("counterexample", "epsilon = 1.5", "epsilon must be in (0, 1], got 1.5"),
+    ("counterexample", "epsilon = -0.1", "epsilon must be in (0, 1], got -0.1"),
+    ("counterexample", "epsilon = 0", "epsilon must be in (0, 1], got 0.0"),
+    ("qfconv", "samples = 1", "samples must be >= 2 (the spread needs two values), got 1"),
+    ("qfconv", "n_ladder = ", "n_ladder must name at least one size, got ''"),
+])
+def test_cli_experiments_name_a_bad_key_before_sampling(tmp_path, capsys, monkeypatch,
+                                                        command, text, message):
+    # these used to escape main with an UnboundLocalError or IndexError, end in
+    # "float division by zero", "math domain error" or "max() arg is an empty
+    # sequence", or (counterexample samples = 0) exit 2 with NaN metrics
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an invalid config")
+
+    monkeypatch.setattr(gibbs, "sample_gibbs", no_sampling)
+    monkeypatch.setattr(ex, "sample_gue", no_sampling)
+    cfg_file = tmp_path / f"{command}.cfg"
+    cfg_file.write_text(text + "\n")
+    code = cli_main([command, "--config", str(cfg_file)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_qfconv_rejects_a_quantified_formula_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the formulas")

@@ -35,3 +35,55 @@ def test_largest_singular_values_come_from_one_routine():
                 if isinstance(f, ast.FunctionDef) and f.name == "_project_ball")
     allowed = {("logic.py", n.lineno) for n in ast.walk(ball) if isinstance(n, ast.Call)}
     assert svd_lines <= allowed, f"SVD outside logic._project_ball: {svd_lines - allowed}"
+
+
+def _defaulted_parameters():
+    """(file, function, parameter, position) for every parameter with a default of
+    every function and method under src/freegeo.  ``position`` is the index a
+    positional argument takes at a call (``self``/``cls`` not counted), None for a
+    keyword-only parameter; an ``__init__`` is named after its class."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list)
+                        owner[fn] = (cls.name, 0 if static else 1)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls_name, skip = owner.get(fn, (None, 0))
+            name = cls_name if fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield path.relative_to(SRC), name, arg.arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield path.relative_to(SRC), name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a setting that no call in the program, its tests or its benchmark ever
+    # passes is a constant; calls are matched by the called name alone, and a
+    # call with *args or **kwargs counts as passing every parameter
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((SRC.parents[1] / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+
+    def passed(call, param, position):
+        return (any(k.arg in (None, param) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (position is not None and len(call.args) > position))
+
+    unset = [f"{path}:{name}.{param}" for path, name, param, position in _defaulted_parameters()
+             if not any(passed(call, param, position) for call in calls.get(name, []))]
+    assert not unset, f"defaulted parameters that no call passes: {unset}"
