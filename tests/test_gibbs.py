@@ -338,11 +338,17 @@ def test_golden_chains_end_adaptation_in_window(name, n):
 
 
 def test_recording_accepts_at_the_rate_the_pilot_measured():
-    # the chain records at the step the pilot ran at, so the two rates agree
-    # up to sampling error
-    diag = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 8, 1, 200,
-                              gibbs.SamplerOptions(seed=mc.Seed(2024, 8))).diagnostics
-    assert abs(diag["acceptance_rate"] - diag["adapt_final_rate"]) <= 0.05
+    # the chain records at the step the pilot ran at, so the two rates differ
+    # by sampling error alone: no bias.  One chain's gap has SD about 0.025, so
+    # the mean over 16 chains is held to three of its standard errors (a chain
+    # that records at 1.25x the frozen step reads about -20 of them)
+    gaps = []
+    for s in range(16):
+        diag = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 8, 1, 200,
+                                  gibbs.SamplerOptions(seed=mc.Seed(2024 + s, 8))).diagnostics
+        gaps.append(diag["acceptance_rate"] - diag["adapt_final_rate"])
+    gaps = np.array(gaps)
+    assert abs(gaps.mean()) <= 3 * gaps.std(ddof=1) / math.sqrt(gaps.size)
 
 
 @pytest.mark.parametrize("n,m", [(6, 1), (8, 2)])

@@ -1,5 +1,6 @@
 """Formula parsing, evaluation, and quantifier-free type extraction."""
 
+import hashlib
 import re
 import warnings
 
@@ -864,3 +865,92 @@ def test_qf_distance_gue_concentration():
     a = logic.qf_type(mc.MatrixTuple(mc.sample_gue(200, mc.Seed(21, 0))[None]), 4)
     b = logic.qf_type(mc.MatrixTuple(mc.sample_gue(200, mc.Seed(21, 1))[None]), 4)
     assert logic.qf_distance(a, b) <= 0.2
+
+
+# ---------------------------------------------------------------------------
+# Kernel pin
+
+def _pin_term_lists():
+    """Fixed term lists for the kernel pin: the sampler's potentials, a
+    permuted-gradient example, and random words over three slots with
+    duplicates, adjoints and rotations of earlier words mixed in."""
+    quadratic = [(0.5, ((j, True), (j, False))) for j in range(2)]
+    quartic = [(0.1, ((j, True), (j, False), (j, True), (j, False))) for j in range(2)]
+    tilt = [(0.5 - 0.25j, ((0, False),)), (-0.25, ((1, False),))]
+    lists = [quadratic, quadratic + tilt + quartic, quadratic + quartic + [(2.0, ())],
+             [(1.0, ((1, False), (1, False))), (0.5j, ((0, True), (1, True), (0, False))),
+              (-0.7, ((2, False), (0, True), (1, True)))]]
+    rng = np.random.default_rng(2501)
+    for _ in range(24):
+        terms = []
+        for _ in range(int(rng.integers(1, 7))):
+            if terms and rng.random() < 0.4:  # reuse an earlier word, turned
+                word = terms[int(rng.integers(len(terms)))][1]
+                cut = int(rng.integers(len(word) + 1))
+                word = word[cut:] + word[:cut]
+                if rng.random() < 0.5:
+                    word = logic._adjoint(word)
+            else:
+                word = tuple((int(rng.integers(3)), bool(rng.integers(2)))
+                             for _ in range(int(rng.integers(0, 5))))
+            coef = complex(*rng.normal(size=2)) if rng.random() < 0.7 else float(rng.normal())
+            terms.append((coef, word))
+        lists.append(terms)
+    return lists
+
+
+_PIN_GRAD_SLOTS = [None, (0,), (0, 1, 2), (2, 0), (0, 1, 2, 3)]  # slot 3 is in no word
+
+
+def kernel_pin_outputs():
+    """trace_pass and bind_trace values and gradients on the pin's term lists,
+    then qf_type moments, in a fixed order."""
+    rng = np.random.default_rng(2502)
+    out = []
+    for terms in _pin_term_lists():
+        for n in (1, 3, 8):
+            mats = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+            again = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+            for slots in _PIN_GRAD_SLOTS:
+                out += logic.trace_pass(terms, mats, slots)
+                kernel = logic.bind_trace(terms, slots)
+                out += kernel(mats) + kernel(again)
+    for m, degree, n in ((1, 4, 3), (2, 3, 4), (3, 2, 5), (2, 0, 2)):
+        t = logic.qf_type(random_tuple(n, m, rng), degree)
+        out += list(t.moments.values())
+    return out
+
+
+def test_kernel_pin_covers_every_plan_feature():
+    # every read form, conjugated reads, adjoint and in-place gradient groups,
+    # identity coefficients and a gradient slot no word reads
+    forms, conj, adjoint, in_place, eye, empty = set(), False, False, False, False, False
+    for terms in _pin_term_lists():
+        for slots in _PIN_GRAD_SLOTS:
+            plan = logic._trace_plan(tuple(w for _, w in terms), slots)
+            forms |= {r[0] for r in plan.reads}
+            conj |= any(r[1] for r in plan.reads)
+            for groups, eyes in plan.grads or ():
+                adjoint |= any(g[1] for g in groups)
+                in_place |= any(g[3] for g in groups)
+                eye |= bool(eyes)
+                empty |= not groups and not eyes
+    assert (forms, conj, adjoint, in_place, eye, empty) == ({0, 1, 2, 3}, True, True, True,
+                                                           True, True)
+
+
+# SHA-256 over the type, dtype and bytes of every value and gradient of the
+# trace kernel and every qf_type moment above, recorded before the kernel's
+# loop body was last rewritten: a rewrite must keep every bit
+KERNEL_PIN = "c3bb0ebe881a21b51b9d4f0d65e417e9884661c7ccb89883ecdb5889314721c9"
+
+
+def test_kernel_pin():
+    digest = hashlib.sha256()
+    for v in kernel_pin_outputs():
+        digest.update(type(v).__name__.encode())
+        if v is not None:  # trace_pass without gradient slots
+            arr = np.asarray(v)
+            digest.update(arr.dtype.str.encode() + arr.tobytes())
+    assert digest.hexdigest() == KERNEL_PIN
+
