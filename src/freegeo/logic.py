@@ -401,35 +401,46 @@ def _sum_coefs(coefs, spec):
 
 
 def _bind(terms, grad_slots):
-    """(plan, merged coefficient per distinct word, coefficient per gradient group).
+    """(plan, merged coefficient per distinct word, gradient program or None).
 
-    The group coefficients are flat, in the order ``_run`` reads them: per
-    gradient slot, each group's summed coefficient (conjugated for an adjoint
-    group, since coef M^H = conj(conj(coef) M^T) needs no conjugate copy of
-    the product), then the slot's identity coefficient if it has one.
+    The gradient program holds, per gradient slot, its first group (a, adj,
+    coef) or None, its later groups (a, adj, in_place, coef) and its identity
+    coefficient or None.  A group's coef is its summed coefficient,
+    conjugated for an adjoint group, since coef M^H = conj(conj(coef) M^T)
+    needs no conjugate copy of the product.
     """
     plan = _trace_plan(tuple([w for _, w in terms]),
                        None if grad_slots is None else tuple(grad_slots))
     coefs = [0j] * len(plan.reads)
     for (coef, _), u in zip(terms, plan.merge):
         coefs[u] += coef
-    sums = []
-    for groups, eye in plan.grads or ():
-        for _, adj, spec, _ in groups:
-            coef = _sum_coefs(coefs, spec)
-            sums.append(coef.conjugate() if adj else coef)
-        if eye:
-            sums.append(_sum_coefs(coefs, eye))
-    return plan, coefs, sums
+    if plan.grads is None:
+        return plan, coefs, None
+    program = []
+    for groups, eye in plan.grads:
+        # numpy scalars: the exact values np.multiply would convert them to
+        summed = [(a, adj, in_place, np.complex128(_sum_coefs(coefs, spec).conjugate() if adj
+                                                   else _sum_coefs(coefs, spec)))
+                  for a, adj, spec, in_place in groups]
+        first = None
+        if summed:
+            a, adj, _, coef = summed.pop(0)
+            first = (a, adj, coef)
+        program.append((first, tuple(summed),
+                        np.complex128(_sum_coefs(coefs, eye)) if eye else None))
+    return plan, coefs, tuple(program)
 
 
 def _products(plan, entries):
     """The slot matrices, then the product each step of ``plan`` builds."""
     mats = [entries[j] for j in plan.slots]
     for a, b, into in plan.steps:
-        out = None
-        if into is not None:  # a conjugated letter is kept as the transpose of its array
-            out = mats[into] if mats[into].flags.c_contiguous else mats[into].T
+        if into is None:  # no out= keyword: numpy parses none
+            mats.append(np.conjugate(mats[a]).T if b is None else mats[a] @ mats[b])
+            continue
+        out = mats[into]
+        if not out.flags.c_contiguous:  # a conjugated letter, kept as the transpose of its array
+            out = out.T
         mats.append(np.conjugate(mats[a], out=out).T if b is None
                     else np.matmul(mats[a], mats[b], out=out))
     return mats
@@ -439,43 +450,50 @@ def _traces(plan, mats, n) -> list:
     """Tr (not tr_n) of each distinct word of ``plan``, in the order of its reads."""
     trs = []
     for form, conj, a, b in plan.reads:
-        if form == 0:
-            tr = n
-        elif form == 1:
-            tr = mats[a].trace()
-        elif form == 2:
-            tr = np.vdot(mats[a], mats[b])
-        else:
+        if form == 2:  # the common form, and never conjugated
+            trs.append(np.vdot(mats[a], mats[b]))
+            continue
+        if form == 1:  # the reduction ndarray.trace runs, without its wrapper
+            tr = np.add.reduce(mats[a].diagonal())
+        elif form == 3:
             tr = np.einsum("ij,ji->", mats[a], mats[b])
+        else:
+            tr = n
         trs.append(tr.conjugate() if conj else tr)
     return trs
 
 
 def _run(bound, entries):
-    """The matrix work of ``trace_pass`` for a plan and coefficients from ``_bind``."""
-    plan, coefs, sums = bound
+    """The matrix work of ``trace_pass`` for a plan, coefficients and gradient
+    program from ``_bind``."""
+    plan, coefs, program = bound
     mats = _products(plan, entries)
     n = (mats[0] if mats else entries[0]).shape[0]
     total = 0.0
     for coef, tr in zip(coefs, _traces(plan, mats, n)):
         total += coef * tr / n
-    if plan.grads is None:
+    if program is None:
         return total, None
-    grad = np.empty((len(plan.grads), n, n), dtype=np.complex128)
-    coef_of = iter(sums)
-    for out, (groups, eye) in zip(grad, plan.grads):
-        if not groups:
+    grad = np.empty((len(program), n, n), dtype=np.complex128)
+    for s, (first, rest, eye) in enumerate(program):
+        out = grad[s]
+        if first is None:
             out.fill(0)
-        for k, (a, adj, _, in_place) in enumerate(groups):
+        else:
+            a, adj, coef = first
+            if adj:
+                np.conjugate(np.multiply(mats[a].T, coef, out=out), out=out)
+            else:
+                np.multiply(mats[a], coef, out=out)
+        for a, adj, in_place, coef in rest:
             mat = mats[a].T if adj else mats[a]
-            part = np.multiply(mat, next(coef_of),
-                               out=out if k == 0 else mat if in_place else None)
+            part = np.multiply(mat, coef, out=mat if in_place else None)
             if adj:
                 np.conjugate(part, out=part)
-            if k:
-                out += part
-        if eye:
-            out.reshape(-1)[:: n + 1] += next(coef_of)
+            out += part
+        if eye is not None:
+            diag = out.reshape(-1)[:: n + 1]
+            diag += eye
     return total, grad
 
 
