@@ -17,11 +17,15 @@ asks three things of a potential: ``c``, ``formula_text()`` and ``bind(m)``,
 the value-and-gradient kernel a chain binds once; for ``Potential`` that is
 the ``logic.bind_trace`` kernel itself (the plan and the coefficient sums bound
 once).  The chain state lives in the step's closure; each step makes one
-kernel call, one ``standard_normal`` fill of the real view of the increment
-buffer (real and imaginary parts interleaved) that is then scaled in place,
-and one ``random`` draw for the acceptance test, and does its arithmetic in
-reused buffers.  A chain reads its stream in order and never jumps, so it
-draws from SFC64 over its seed's ``SeedSequence`` (``_chain_rng``), which fills
+kernel call, scales its row of a block of normals into the real view of the
+increment buffer (real and imaginary parts interleaved), compares a log
+uniform of a block of acceptance draws, and does its arithmetic in reused
+buffers.  A chain has two streams, one for the noise and one for the
+acceptance uniforms, each filled for up to ``_BLOCK_BYTES`` of noise worth
+of steps in one call; a phase's last fill ends at its last step, and each
+stream is read in order, so the chain's bits do not depend on the block
+length.  A chain never jumps in its streams, so they are SFC64 over the two
+children of its seed's ``SeedSequence`` (``_chain_rngs``), which fills
 normals faster than the Philox of ``Seed.rng()``; every other stream of the
 program stays on Philox.  The chain runs in phi units: it uses phi and its
 tr_n gradient g as the kernel returns them, with the step sigma = n^2 tau.
@@ -301,6 +305,7 @@ _WINDOW = 50  # steps per acceptance-collapse window
 _COLLAPSE = 0.05  # a window accepting less than this share halves the step
 _TARGET_ACCEPT = (0.5, 0.7)  # the pilot's acceptance window; adaptation aims at its middle
 _THIN_IATS = 2  # recorded states are this many integrated autocorrelation times apart
+_BLOCK_BYTES = 256 * 1024  # noise per block fill; one step's if that is larger
 
 
 @dataclass(frozen=True)
@@ -327,10 +332,13 @@ class SamplerOptions:
                              f"{self.convexity_spot_pairs}")
 
 
-def _chain_rng(seed: Seed) -> np.random.Generator:
-    """The generator of the MALA chain seeded ``seed``: SFC64 over ``seed.sequence()``,
-    the ``SeedSequence`` that ``seed.rng()`` runs Philox over."""
-    return np.random.Generator(np.random.SFC64(seed.sequence()))
+def _chain_rngs(seed: Seed) -> tuple[np.random.Generator, np.random.Generator]:
+    """The noise and acceptance generators of the MALA chain seeded ``seed``:
+    SFC64 over the two children ``seed.sequence().spawn(2)`` of the
+    ``SeedSequence`` that ``seed.rng()`` runs Philox over."""
+    noise, accept = (np.random.Generator(np.random.SFC64(child))
+                     for child in seed.sequence().spawn(2))
+    return noise, accept
 
 
 def _convexity_spot(kernel, c: float, n: int, m: int, seed: Seed, pairs: int) -> float:
@@ -399,7 +407,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
             f"(violation {viol:.3e}); all concentration bounds would be void"
         )
 
-    rng = _chain_rng(opts.seed.derive(1))
+    noise_rng, accept_rng = _chain_rngs(opts.seed.derive(1))
     nn = n * n
     # sigma = n^2 tau is the step in phi units: tau grad(n^2 phi) = sigma g.
     # MALA's step scales as d^(-1/3) in the real dimension d = 2mn^2 (Roberts
@@ -409,11 +417,32 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
 
     # Reused per-step buffers.  Standard Gaussian noise in the tr_n real inner
     # product has entries sqrt(n)(g1 + i g2), since the orthonormal coordinates
-    # are entries/sqrt(n).  One draw fills the real view of the complex
-    # increment d, real and imaginary parts interleaved, and is scaled there.
+    # are entries/sqrt(n).  A step's 2mn^2 normals are scaled into the flat
+    # real view of the complex increment d, real and imaginary parts
+    # interleaved.
     d = np.empty((m, n, n), dtype=np.complex128)
-    d_re = d.view(np.float64)
+    d_re = d.reshape(-1).view(np.float64)
     prop, g_sum = (np.empty((m, n, n), dtype=np.complex128) for _ in range(2))
+    # Block draws: each stream fills the draws of up to ``block`` steps in one
+    # call, into reused buffers, and log u is taken for the whole block.  A
+    # phase knows its length and its fills stop at its last step, so no draw
+    # is left unused, and since each stream is read in order the chain's bits
+    # do not depend on the block length.
+    block = max(1, _BLOCK_BYTES // d_re.nbytes)
+    noise_buf, u_buf = np.empty((0, d_re.size)), np.empty(0)
+
+    def draws(steps):
+        """(noise, log u) for each of the next ``steps`` steps."""
+        nonlocal noise_buf, u_buf
+        rows = min(block, steps)
+        if len(u_buf) < rows:
+            noise_buf, u_buf = np.empty((rows, d_re.size)), np.empty(rows)
+        for start in range(0, steps, block):
+            k = min(block, steps - start)
+            noise_rng.standard_normal(out=noise_buf[:k])
+            log_u = accept_rng.random(out=u_buf[:k])
+            np.log(np.maximum(log_u, 1e-300, out=log_u), out=log_u)
+            yield from zip(noise_buf[:k], log_u.tolist())
 
     # the chain state: x, phi(x), its gradient and |g_x|^2; prop is a free buffer
     x = np.zeros((m, n, n), dtype=np.complex128)
@@ -421,17 +450,17 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     v_x = v_x.real
     gg_x = np.vdot(g_x, g_x).real / n
 
-    def mala_step(sigma):
-        """One MALA step of the chain state; returns (accepted, alpha).
+    def mala_step(sigma, noise, log_u):
+        """One MALA step of the chain state from its draws; returns (accepted, alpha).
 
         The proposal is y = x + d with d = sqrt(2 sigma/n)(g1 + i g2) - sigma g_x,
         and the module docstring's identity gives log alpha = n^2 [phi(x) -
         phi(y) + <d, g_x + g_y>/2 + sigma (|g_x|^2 - |g_y|^2)/4] in the tr_n
-        inner product.  alpha is the acceptance probability min(1, e^{log
-        alpha}), with a NaN log alpha (a rejected proposal) counted as 0."""
+        inner product; the step accepts if log u < log alpha.  alpha is the
+        acceptance probability min(1, e^{log alpha}), with a NaN log alpha (a
+        rejected proposal) counted as 0."""
         nonlocal x, v_x, g_x, gg_x, prop
-        rng.standard_normal(out=d_re)
-        np.multiply(d_re, math.sqrt(2 * sigma / n), out=d_re)
+        np.multiply(noise, math.sqrt(2 * sigma / n), out=d_re)
         np.subtract(d, np.multiply(g_x, sigma, out=prop), out=d)
         np.add(x, d, out=prop)
         v_p, g_p = kernel(prop)
@@ -440,7 +469,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         dg = np.vdot(d, np.add(g_x, g_p, out=g_sum)).real / n
         log_alpha = nn * (v_x - v_p + 0.5 * dg + 0.25 * sigma * (gg_x - gg_p))
         alpha = 1.0 if log_alpha >= 0 else (math.exp(log_alpha) if log_alpha < 0 else 0.0)
-        if math.log(max(rng.random(), 1e-300)) < log_alpha:
+        if log_u < log_alpha:
             x, prop = prop, x
             v_x, g_x, gg_x = v_p, g_p, gg_p
             return True, alpha
@@ -452,8 +481,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     target = 0.5 * (_TARGET_ACCEPT[0] + _TARGET_ACCEPT[1])
     mu = log_avg = math.log(sigma)
     t, h_bar, window_accepts, halvings = 0, 0.0, 0, 0
-    for step_idx in range(1, opts.adapt_steps + 1):
-        ok, alpha = mala_step(sigma)
+    for step_idx, (noise, log_u) in enumerate(draws(opts.adapt_steps), 1):
+        ok, alpha = mala_step(sigma, noise, log_u)
         window_accepts += ok
         t += 1
         h_bar += (target - alpha - h_bar) / (t + _DA_T0)
@@ -480,23 +509,24 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     # of the energy n^2 phi
     pilot_accepts = 0
     stat_series: list[float] = []
-    for _ in range(opts.pilot_steps):
-        pilot_accepts += mala_step(sigma)[0]
+    for noise, log_u in draws(opts.pilot_steps):
+        pilot_accepts += mala_step(sigma, noise, log_u)[0]
         stat_series.append(nn * v_x)
     final_rate = pilot_accepts / opts.pilot_steps if opts.pilot_steps else None
     tau_int = _iat(np.array(stat_series))
     thin = max(1, int(math.ceil(_THIN_IATS * tau_int)))
     # the pilot already ran at the frozen kernel, so it counts as burn-in
     extra_burn = max(0, int(math.ceil(10 * tau_int)) - opts.pilot_steps)
-    for _ in range(extra_burn):
-        mala_step(sigma)
+    for noise, log_u in draws(extra_burn):
+        mala_step(sigma, noise, log_u)
 
     # phase 3: recording
     out = np.empty((count, m, n, n), dtype=np.complex128)
     accepted_total = 0
+    recording = draws(count * thin)
     for i in range(count):
         for _ in range(thin):
-            accepted_total += mala_step(sigma)[0]
+            accepted_total += mala_step(sigma, *next(recording))[0]
         out[i] = x
 
     tau = sigma / nn

@@ -39,10 +39,12 @@ class Seed:
     """Deterministic RNG handle: (master_seed, stream_id) -> one ``SeedSequence``.
 
     ``rng()`` runs the counter-based Philox generator over that sequence.  The
-    MALA sampler takes its chain stream from the same sequence of its chain
-    seed through SFC64 (``gibbs._chain_rng``): a chain reads its stream in
-    order and never needs Philox's counter jumps, and SFC64 fills normals
-    faster.  Two draws with the same (master_seed, stream_id) produce
+    MALA sampler runs SFC64 over the two children ``sequence().spawn(2)`` of
+    its chain seed, one stream for the noise and one for the acceptance
+    uniforms (``gibbs._chain_rngs``): a chain reads its streams in order, in
+    blocks, and never needs Philox's counter jumps, and SFC64 fills normals
+    faster.  The children's spawn keys are two entries long, so no chain
+    stream shares its sequence with a ``Seed``.  Two draws with the same (master_seed, stream_id) produce
     identical output; distinct stream_ids give independent streams for
     parallel chains.
     """

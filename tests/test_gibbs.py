@@ -64,13 +64,14 @@ def reference_mala(pot, n, m, seed, tau, steps, thin, count):
     exp(-E) with E = n^2 phi, at the fixed step tau, from x = 0.
 
     The proposal is the forward Langevin mean x - tau grad E(x) plus sqrt(2 tau)
-    standard tr_n Gaussian noise, drawn as sample_gibbs draws it from the
-    chain stream of ``seed`` (real and imaginary parts interleaved); the
-    acceptance ratio uses the forward and backward means.  Runs ``steps``
+    standard tr_n Gaussian noise, drawn one step at a time from the noise
+    stream of the chain seeded ``seed`` (real and imaginary parts
+    interleaved); the acceptance ratio uses the forward and backward means
+    and a uniform drawn from the chain's acceptance stream.  Runs ``steps``
     steps and returns the state after every ``thin``-th of the last
     ``count * thin``.
     """
-    rng = gibbs._chain_rng(seed.derive(1))
+    noise_rng, accept_rng = gibbs._chain_rngs(seed.derive(1))
     kernel = pot.bind(m)
 
     def energy(entries):
@@ -84,13 +85,13 @@ def reference_mala(pot, n, m, seed, tau, steps, thin, count):
     e_x, grad_x = energy(x)
     samples = []
     for k in range(steps, 0, -1):  # k steps left, this one included
-        g = rng.standard_normal((m, n, n, 2))
+        g = noise_rng.standard_normal((m, n, n, 2))
         mean_x = x - tau * grad_x
         y = mean_x + math.sqrt(2 * tau) * math.sqrt(n) * (g[..., 0] + 1j * g[..., 1])
         e_y, grad_y = energy(y)
         mean_y = y - tau * grad_y
         log_alpha = e_x - e_y + (sq_norm(y - mean_x) - sq_norm(x - mean_y)) / (4 * tau)
-        if math.log(max(rng.random(), 1e-300)) < log_alpha:
+        if math.log(max(accept_rng.random(), 1e-300)) < log_alpha:
             x, e_x, grad_x = y, e_y, grad_y
         if k <= count * thin and (k - 1) % thin == 0:
             samples.append(x)
@@ -308,16 +309,16 @@ GOLDEN_POTENTIALS = {
                       2),
 }
 GOLDEN_SAMPLES = {
-    ("quadratic", 4): "bc0f960e8114915da8caf316419c590525783ea8ba6d087cf96e8c806855ee25",
-    ("quadratic", 8): "d7f3165502e677bce47ea33dc86e8bb7de4440741684d279cf52aeb1fc5d4bf7",
-    ("tilt", 4): "a6598775e0fcf381321bac1193093fb7c73e0c54b0541c354a662b199f4ebcdc",
-    ("tilt", 8): "372698da44203ab86fc1a71685d5f7d814dfe57be87bf147bf82cf4babfb55ee",
-    ("quartic+tilt", 4): "4e622d18c2809059379831665b17fad1b03067f9648ae8f602a5f7c2ea787bfe",
-    ("quartic+tilt", 8): "af2041e0641354c1f27ec72fb135f054873d5251513847cdb885aa87a81951fc",
+    ("quadratic", 4): "db6d59de0bd5f5b216556d86f32135ba38e2562544bc3e7a0c6497e09ff4e54c",
+    ("quadratic", 8): "bfc1668ac7003eeb38ffbbab44feb307fbf17ee763564804ba85b5e5f17d8e85",
+    ("tilt", 4): "8046ad7a6e681e6ea0de4a8b182180fac9636465b566e1ff1465bb7786e49535",
+    ("tilt", 8): "681bb13fce494cb03f323122a11b6585374e12fc4d3ea8bebe67460e7803762b",
+    ("quartic+tilt", 4): "fa6e1387c80c825dedd5770baa1251459e3bd437300bce1571a447e9676fbb94",
+    ("quartic+tilt", 8): "728aace73d847ee0b4dc59ff2a639c078942523bcb678de73502c99aef3bd512",
     # n = 6: n^2 is not a power of two
-    ("quartic+tilt", 6): "31d2e10ad48ef2d28b994359c96b479da5c08dc6421a9854476068e9808a773d",
-    ("ti-mix", 8): "f95340a63e60ca8ecb68ea6ab80bc4cb7f98fd6f0862a7743f8267a2532280a6",
-    ("quartic-slot0", 8): "541dc6005c1ed7fce8c407ec59c80e9a491a41c66990621b63054dcdc35bfc6f",
+    ("quartic+tilt", 6): "8659185d08fa95abc7426d61c7e6595d6d478ec06809118d46f71e9fe66ea9c9",
+    ("ti-mix", 8): "d4a8ff2001b7637f3f9ee2b1d407dd45d974c527c52996293e062b6e4c0d866c",
+    ("quartic-slot0", 8): "c49d0fa8d135acbbf601925e186f0d1e20129ddbf99d908acc09a5b259abe4b9",
 }
 
 
@@ -355,30 +356,69 @@ def test_recording_accepts_at_the_rate_the_pilot_measured():
 def test_numpy_draws_and_arithmetic_the_mala_step_relies_on(n, m):
     # the goldens above rest on these equalities; a numpy release that breaks
     # one fails here instead of moving the goldens
-    a, b = gibbs._chain_rng(mc.Seed(2024, n)), gibbs._chain_rng(mc.Seed(2024, n))
-    for _ in range(50):  # random() is uniform(), at the same stream position
-        assert a.random().hex() == b.uniform().hex()
-    # noise sqrt(2 sigma/n)(g1 + i g2) drawn into the real view of a complex
-    # buffer and scaled there, as sample_gibbs builds it
+    (a_noise, a_accept), (b_noise, b_accept) = (gibbs._chain_rngs(mc.Seed(2024, n))
+                                                for _ in range(2))
+    # one block fill of several steps' noise is the per-step fills one after
+    # another, and one block of uniforms is that many random() calls
+    block = np.empty((5, 2 * m * n * n))
+    a_noise.standard_normal(out=block[:3])
+    assert block[:3].tobytes() == b"".join(b_noise.standard_normal((m, n, n, 2)).tobytes()
+                                           for _ in range(3))
+    u = a_accept.random(out=np.empty(50))
+    assert [v.hex() for v in u.tolist()] == [b_accept.random().hex() for _ in range(50)]
+    # a shorter fill into the same buffer reads on from where the last stopped
+    a_noise.standard_normal(out=block[:2])
+    assert block[:2].tobytes() == b_noise.standard_normal((2, m, n, n, 2)).tobytes()
+    # noise sqrt(2 sigma/n)(g1 + i g2) scaled from a block row into the flat
+    # real view of a complex buffer, as sample_gibbs builds it
+    g = block[1].reshape(m, n, n, 2)
     noise = np.empty((m, n, n), dtype=np.complex128)
-    a.standard_normal(out=noise.view(np.float64))
-    g = b.standard_normal((m, n, n, 2))
-    assert noise.tobytes() == g.tobytes()
-    assert a.random().hex() == b.uniform().hex()
     scale = math.sqrt(2 * 0.37 / n)
-    np.multiply(noise.view(np.float64), scale, out=noise.view(np.float64))
+    np.multiply(block[1], scale, out=noise.reshape(-1).view(np.float64))
     assert noise.tobytes() == (scale * g[..., 0] + 1j * (scale * g[..., 1])).tobytes()
 
 
 def test_chain_stream_is_sfc64_over_the_seed_sequence_of_seed_rng():
-    # the chain and Seed.rng() share one SeedSequence; only the bit generator differs
+    # the chain's noise and acceptance streams are SFC64 over the two children
+    # of the SeedSequence that Seed.rng() runs Philox over
     seed = mc.Seed(2024, 7).derive(1)
     seq = seed.rng().bit_generator.seed_seq
     assert (seq.entropy, seq.spawn_key) == (2024, (seed.stream_id,))
-    chain = gibbs._chain_rng(seed)
-    assert isinstance(chain.bit_generator, np.random.SFC64)
-    expected = np.random.Generator(np.random.SFC64(seq))
-    assert chain.standard_normal(64).tobytes() == expected.standard_normal(64).tobytes()
+    for k, (stream, child) in enumerate(zip(gibbs._chain_rngs(seed), seq.spawn(2))):
+        assert isinstance(stream.bit_generator, np.random.SFC64)
+        assert child.spawn_key == (seed.stream_id, k)
+        expected = np.random.Generator(np.random.SFC64(child))
+        assert stream.standard_normal(64).tobytes() == expected.standard_normal(64).tobytes()
+
+
+def test_chain_streams_differ_from_each_other_and_from_seed_streams():
+    # the spawned children's keys (stream_id, 0) and (stream_id, 1) are no
+    # Seed's key, so neither stream repeats another's bits, whatever the bit
+    # generator over them
+    seed = mc.Seed(2024, 7)
+    noise, accept = (g.bit_generator.random_raw(16).tobytes()
+                     for g in gibbs._chain_rngs(seed.derive(1)))
+    others = {np.random.SFC64(s.sequence()).random_raw(16).tobytes()
+              for s in (seed, seed.derive(0), seed.derive(1), seed.derive(2))}
+    others |= {s.rng().bit_generator.random_raw(16).tobytes()
+               for s in (seed, seed.derive(0), seed.derive(1))}
+    assert noise != accept
+    assert not {noise, accept} & others
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2**40])
+def test_chain_bits_do_not_depend_on_the_block_length(monkeypatch, block_bytes):
+    # one step per fill, and one fill per phase (a block longer than the whole
+    # chain), give the ensemble of the default block, bit for bit
+    build, m = GOLDEN_POTENTIALS["quartic+tilt"]
+    opts = gibbs.SamplerOptions(seed=mc.Seed(2024, 6))
+    # the default block holds 227 steps here: adaptation takes 4 fills
+    assert gibbs._BLOCK_BYTES // (16 * m * 6 * 6) == 227
+    default = gibbs.sample_gibbs(build(), 6, m, 5, opts)
+    monkeypatch.setattr(gibbs, "_BLOCK_BYTES", block_bytes)
+    ens = gibbs.sample_gibbs(build(), 6, m, 5, opts)
+    assert ens.samples.tobytes() == default.samples.tobytes()
+    assert ens.diagnostics == default.diagnostics
 
 
 REFERENCE_POTENTIALS = {
@@ -422,13 +462,14 @@ class CountingRng:
 
 
 def test_mala_step_work_count(monkeypatch):
-    # per step: one normal draw, one random draw, one kernel call; the plan
-    # and its coefficients are bound once per chain, and nothing else binds
+    # per step one kernel call; per block of steps one normal fill and one
+    # uniform fill, a phase's last block ending at its last step; the plan and
+    # its coefficients are bound once per chain, and nothing else binds
     rngs, binds = {}, []
-    chain_rng, bind_trace = gibbs._chain_rng, logic.bind_trace
+    chain_rngs, bind_trace = gibbs._chain_rngs, logic.bind_trace
 
-    def counting_rng(seed):
-        rngs[seed] = CountingRng(chain_rng(seed))
+    def counting_rngs(seed):
+        rngs[seed] = tuple(CountingRng(g) for g in chain_rngs(seed))
         return rngs[seed]
 
     def counting_bind(terms, grad_slots=None):
@@ -442,17 +483,21 @@ def test_mala_step_work_count(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(gibbs, "_chain_rng", counting_rng)
+    monkeypatch.setattr(gibbs, "_chain_rngs", counting_rngs)
     monkeypatch.setattr(logic, "bind_trace", counting_bind)
+    monkeypatch.setattr(gibbs, "_BLOCK_BYTES", 16 * 2 * 4 * 4 * 32)  # 32 steps per block
     build, m = GOLDEN_POTENTIALS["quartic+tilt"]
     opts = gibbs.SamplerOptions(seed=mc.Seed(2024, 4), adapt_steps=120, pilot_steps=80)
     count = 5
     ens = gibbs.sample_gibbs(build(), 4, m, count, opts)
     # the pilot runs at the frozen step, so it counts toward the 10 IAT burn-in
-    burn = max(opts.pilot_steps, math.ceil(10 * ens.diagnostics["iat"]))
-    steps = opts.adapt_steps + burn + count * ens.diagnostics["thin"]
-    assert list(rngs) == [opts.seed.derive(1)]  # one chain generator
-    assert rngs[opts.seed.derive(1)].calls == {"standard_normal": steps, "random": steps}
+    extra_burn = max(0, math.ceil(10 * ens.diagnostics["iat"]) - opts.pilot_steps)
+    phases = [opts.adapt_steps, opts.pilot_steps, extra_burn, count * ens.diagnostics["thin"]]
+    steps = sum(phases)
+    fills = sum(math.ceil(k / 32) for k in phases)
+    assert list(rngs) == [opts.seed.derive(1)]  # one chain, two generators
+    noise, accept = rngs[opts.seed.derive(1)]
+    assert (noise.calls, accept.calls) == ({"standard_normal": fills}, {"random": fills})
     assert ens.diagnostics["steps"] == steps
     # the extra calls are the start point and the convexity spot check's 36
     # values, three for each of its 12 pairs, through the same kernel
@@ -463,14 +508,14 @@ def test_gibbs_entropy_golden_value():
     rep = entropy.gibbs_entropy(gibbs.Potential.quadratic(1.0, 1).with_quartic(0.25), 8, 1,
                                 seed=mc.Seed(31), nodes=4, samples_per_node=8,
                                 samples_final=16)
-    assert repr(rep.h_n) == "np.float64(1.9129176164697692)"
+    assert repr(rep.h_n) == "np.float64(1.9233061728705887)"
 
 
 def test_adaptation_window_flag_reports_a_hit():
     build, m = GOLDEN_POTENTIALS["tilt"]
     diag = gibbs.sample_gibbs(build(), 4, m, 6,
                               gibbs.SamplerOptions(seed=mc.Seed(2024, 4))).diagnostics
-    assert diag["adapt_final_rate"] == pytest.approx(341 / 600)  # the pilot's 600 steps
+    assert diag["adapt_final_rate"] == pytest.approx(405 / 600)  # the pilot's 600 steps
     assert diag["adapt_in_window"] is True
 
 

@@ -236,7 +236,7 @@ def test_moment_quantiles_ndtri_equal_norm_ppf(kq):
 
 
 # sha256 of the JSON of (metrics, series) of the matrix-scale report below
-MATRIX_SCALE_GOLDEN = "6b205bb25ddc4775c160137959d4c68941e3780d9c2a9b0fdd52c66b6d10056f"
+MATRIX_SCALE_GOLDEN = "1f459a956e809458482831ff894eecfda91a902ad6965c8e24101b5c29063dab"
 
 
 def test_moment_matrix_scale_flag():
