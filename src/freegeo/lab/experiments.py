@@ -79,17 +79,20 @@ def run_counterexample(cfg: RunConfig) -> Report:
     for i in range(samples):
         x, y, (mom_g3, mom_s3) = _counterexample_draw(eps, k, l, seed.derive(i))
         c13 = x.entries[0] @ x.entries[2] - x.entries[2] @ x.entries[0]
-        # y shares slots 0-1 with x, so R needs only x and y's third slot
-        norms = sigma_max(np.stack([c13, *x.entries, y.entries[2]]))
-        comm_op = float(norms[0])
-        max_opnorm = max(max_opnorm, float(np.max(norms[1:])))
+        comm_op = float(sigma_max(c13[None])[0])
+        # y shares slots 0-1 with x, so R needs only x and y's third slot.  Every
+        # slot is a real combination of GUE blocks and their tensor embeddings,
+        # exactly Hermitian, so its operator norm is its largest |eigenvalue|,
+        # and one eigvalsh per matrix serves R and the spectral W2 alike
+        spectra = tp.hermitian_spectra(np.stack([*x.entries, y.entries[2]]))
+        max_opnorm = max(max_opnorm, float(np.max(np.abs(spectra[:, [0, -1]]))))
         comm_tr = float(np.sqrt(np.sum(np.abs(c13) ** 2) / n))
         d2 = tracial_norm(x - y) ** 2
         # unbiased control-variate estimate: E tr(G3^2) = E tr(S3'^2) = 1 exactly,
         # removing the dominant small-block fluctuation from the distance
         d2_cv = d2 - (1 - eps) * (mom_g3 - 1.0) \
             - (math.sqrt(eps) - eps) ** 2 * (mom_s3 - 1.0)
-        sw = tp.spectral_w2_1d(x.entries[2], y.entries[2])
+        sw = tp.Quantile1D(spectra[2]).w2(tp.Quantile1D(spectra[3]))
         comm_ops.append(comm_op)
         comm_trs.append(comm_tr)
         dist2s.append(d2)

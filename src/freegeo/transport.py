@@ -29,6 +29,7 @@ __all__ = [
     "optimal_inner_product",
     "displacement",
     "spectral_w2_1d",
+    "hermitian_spectra",
     "kantorovich_potentials_1d",
     "SinkhornError",
 ]
@@ -213,24 +214,35 @@ def displacement(plan: TransportPlan, t: float) -> Ensemble:
     return Ensemble(mixed, prov, {})
 
 
+def hermitian_spectra(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every matrix of a (k, n, n) Hermitian stack, shape (k, n).
+
+    One batched ``eigvalsh``, which reads one triangle only, so each matrix
+    must be finite and Hermitian to allclose's predicate at atol 1e-10 and
+    rtol 1e-5; otherwise ``ValueError``.
+    """
+    a = np.asarray(mats)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("spectral input has non-finite entries")
+    ah = np.swapaxes(a.conj(), 1, 2)
+    if not np.all(np.abs(a - ah) <= 1e-10 + 1e-5 * np.abs(ah)):
+        raise ValueError("spectral inputs must be Hermitian")
+    return np.linalg.eigvalsh(a)
+
+
 def spectral_w2_1d(x: np.ndarray, y: np.ndarray) -> float:
     """W2 between empirical spectral distributions of two Hermitian matrices.
 
-    Sorted-eigenvalue (quantile) coupling, exact in one dimension.
+    Sorted-eigenvalue (quantile) coupling, exact in one dimension; the
+    spectra and their input checks are ``hermitian_spectra``'s.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("inputs must be square matrices of the same size")
-    for a in (x, y):
-        if not np.all(np.isfinite(a)):
-            raise ValueError("spectral_w2_1d input has non-finite entries")
-        # the predicate of np.allclose(a, a^H, atol=1e-10) at its rtol 1e-5
-        ah = a.conj().T
-        if not np.all(np.abs(a - ah) <= 1e-10 + 1e-5 * np.abs(ah)):
-            raise ValueError("spectral_w2_1d requires Hermitian inputs")
-    ex = np.linalg.eigvalsh(x)  # ascending: the quantile coupling
-    ey = np.linalg.eigvalsh(y)
+    ex, ey = hermitian_spectra(np.stack([x, y]))  # ascending: the quantile coupling
     return float(np.sqrt(np.mean((ex - ey) ** 2)))
 
 

@@ -134,6 +134,42 @@ def test_counterexample_r_is_max_svd_norm_of_both_tuples():
     assert r == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+def test_counterexample_decomposes_each_matrix_once_per_sample(monkeypatch):
+    # the commutator's Gram, then one eigvalsh per slot of x and y's third
+    # slot, which the spectral W2 reads too: 5 decompositions, no SVD
+    counts = {"eigvalsh": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counts["eigvalsh"] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    ex.run_counterexample(RunConfig.from_dict("counterexample",
+                                              {"samples": 3, "k": 2, "l": 3}))
+    assert counts["eigvalsh"] == 5 * 3
+
+
+def test_counterexample_checks_that_its_slots_are_hermitian(monkeypatch):
+    # the eigenvalues read R and the spectral W2 only for Hermitian slots
+    draw = ex._counterexample_draw
+
+    def skewed(*args):
+        x, y, controls = draw(*args)
+        bad = x.entries.copy()
+        bad[1, 0, 1] += 1e-3
+        return MatrixTuple(bad), y, controls
+
+    monkeypatch.setattr(ex, "_counterexample_draw", skewed)
+    cfg = RunConfig.from_dict("counterexample", {"samples": 2, "k": 2, "l": 2})
+    with pytest.raises(ValueError, match="Hermitian"):
+        ex.run_counterexample(cfg)
+
+
 def test_bound_metrics_print_slack():
     cfg = RunConfig.from_dict("counterexample", {"samples": 4, "k": 4, "l": 4})
     rep = ex.run_counterexample(cfg)
