@@ -65,6 +65,9 @@ def run_counterexample(cfg: RunConfig) -> Report:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    for key, size in (("k", k), ("l", l)):
+        if size < 1:
+            raise ValueError(f"{key} must be >= 1, got {size}")
     if n > 256:
         raise ValueError("counterexample supports n = k*l <= 256")
     if samples > 65535:
@@ -294,6 +297,8 @@ def run_geodesic(cfg: RunConfig) -> Report:
     grid = parse_float_list(cfg["grid"])
     if not all(0 < t < 1 for t in grid):
         raise ValueError(f"grid points must lie in (0, 1), got {cfg['grid']!r}")
+    if len(grid) < 2:  # the sandwich compares pairs of points
+        raise ValueError(f"grid must name >= 2 points, got {cfg['grid']!r}")
     tol = cfg["tolerance"]
     rng = Seed(cfg["seed"]).rng()
     report = Report("geodesic", cfg)
@@ -362,6 +367,10 @@ def run_moment_fixed_point(cfg: RunConfig) -> Report:
         return run_moment_matrix_scale(cfg)
     if cfg["grid_points"] < 2:
         raise ValueError(f"grid_points must be >= 2, got {cfg['grid_points']}")
+    if iters < 1:
+        raise ValueError(f"iterations must be >= 1, got {iters}")
+    if kq < 1:
+        raise ValueError(f"quantiles must be >= 1, got {kq}")
     from scipy.special import ndtri  # the Gaussian quantile that norm.ppf calls
 
     report = Report("moment", cfg)
@@ -581,6 +590,8 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
         raise ValueError(f"samples must be >= 2 (the spread needs two values), got {samples}")
     if not ladder:
         raise ValueError(f"n_ladder must name at least one size, got {cfg['n_ladder']!r}")
+    if min(ladder) < 1:
+        raise ValueError(f"n_ladder sizes must be >= 1, got {cfg['n_ladder']!r}")
     report = Report("qfconv", cfg)
     pot = gibbs.Potential.quadratic(cfg["c"], m)
     parsed = [(text, logic.parse(text)) for text in formulas]

@@ -396,6 +396,34 @@ def test_cli_experiments_name_a_bad_key_before_sampling(tmp_path, capsys, monkey
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("geodesic", "grid = 0.5", "grid must name >= 2 points, got '0.5'"),
+    ("geodesic", "grid = ", "grid must name >= 2 points, got ''"),
+    ("moment", "iterations = 0", "iterations must be >= 1, got 0"),
+    ("moment", "quantiles = 0", "quantiles must be >= 1, got 0"),
+    ("counterexample", "k = 0", "k must be >= 1, got 0"),
+    ("counterexample", "l = -2", "l must be >= 1, got -2"),
+    ("qfconv", "n_ladder = 8,0", "n_ladder sizes must be >= 1, got '8,0'"),
+])
+def test_cli_experiments_reject_an_empty_grid_loop_or_size(tmp_path, capsys, monkeypatch,
+                                                           command, text, message):
+    # these used to exit 0 with "pass sandwich: value=inf" (a one-point grid
+    # checks no pair), exit 2 with a NaN residual (no iteration), or end in
+    # "empty support", "n must be positive" or "m and n must be positive"
+    # without naming the key
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an invalid config")
+
+    monkeypatch.setattr(gibbs, "sample_gibbs", no_sampling)
+    monkeypatch.setattr(ex, "sample_gue", no_sampling)
+    monkeypatch.setattr(ex.Seed, "rng", no_sampling)
+    cfg_file = tmp_path / f"{command}.cfg"
+    cfg_file.write_text(text + "\n")
+    code = cli_main([command, "--config", str(cfg_file)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_qfconv_rejects_a_quantified_formula_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the formulas")
