@@ -447,8 +447,8 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     # the chain state: x, phi(x), its gradient and |g_x|^2; prop is a free buffer
     x = np.zeros((m, n, n), dtype=np.complex128)
     v_x, g_x = kernel(x)
-    v_x = v_x.real
-    gg_x = np.vdot(g_x, g_x).real / n
+    v_x = float(v_x.real)
+    gg_x = float(np.vdot(g_x, g_x).real) / n
 
     def mala_step(sigma, noise, log_u):
         """One MALA step of the chain state from its draws; returns (accepted, alpha).
@@ -464,9 +464,10 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         np.subtract(d, np.multiply(g_x, sigma, out=prop), out=d)
         np.add(x, d, out=prop)
         v_p, g_p = kernel(prop)
-        v_p = v_p.real
-        gg_p = np.vdot(g_p, g_p).real / n
-        dg = np.vdot(d, np.add(g_x, g_p, out=g_sum)).real / n
+        # Python floats: the same double operations as numpy scalars, cheaper
+        v_p = float(v_p.real)
+        gg_p = float(np.vdot(g_p, g_p).real) / n
+        dg = float(np.vdot(d, np.add(g_x, g_p, out=g_sum)).real) / n
         log_alpha = nn * (v_x - v_p + 0.5 * dg + 0.25 * sigma * (gg_x - gg_p))
         alpha = 1.0 if log_alpha >= 0 else (math.exp(log_alpha) if log_alpha < 0 else 0.0)
         if log_u < log_alpha:
