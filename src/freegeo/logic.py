@@ -404,8 +404,9 @@ def _bind(terms, grad_slots):
     """(plan, merged coefficient per distinct word, gradient program or None).
 
     The gradient program holds, per gradient slot, its first group (a, adj,
-    coef) or None, its later groups (a, adj, in_place, coef) and its identity
-    coefficient or None.  A group's coef is its summed coefficient,
+    in_place, coef) or None, its later groups and its identity coefficient or
+    None.  The first group writes the slot's array, so its in_place flag goes
+    unread.  A group's coef is its summed coefficient,
     conjugated for an adjoint group, since coef M^H = conj(conj(coef) M^T)
     needs no conjugate copy of the product.
     """
@@ -418,14 +419,12 @@ def _bind(terms, grad_slots):
         return plan, coefs, None
     program = []
     for groups, eye in plan.grads:
-        # numpy scalars: the exact values np.multiply would convert them to
-        summed = [(a, adj, in_place, np.complex128(_sum_coefs(coefs, spec).conjugate() if adj
-                                                   else _sum_coefs(coefs, spec)))
-                  for a, adj, spec, in_place in groups]
-        first = None
-        if summed:
-            a, adj, _, coef = summed.pop(0)
-            first = (a, adj, coef)
+        summed = []
+        for a, adj, spec, in_place in groups:
+            coef = _sum_coefs(coefs, spec)
+            # a numpy scalar: the exact value np.multiply would convert it to
+            summed.append((a, adj, in_place, np.complex128(coef.conjugate() if adj else coef)))
+        first = summed.pop(0) if summed else None
         program.append((first, tuple(summed),
                         np.complex128(_sum_coefs(coefs, eye)) if eye else None))
     return plan, coefs, tuple(program)
@@ -435,7 +434,7 @@ def _products(plan, entries):
     """The slot matrices, then the product each step of ``plan`` builds."""
     mats = [entries[j] for j in plan.slots]
     for a, b, into in plan.steps:
-        if into is None:  # no out= keyword: numpy parses none
+        if into is None:  # a fresh array: no out= keyword for numpy to parse
             mats.append(np.conjugate(mats[a]).T if b is None else mats[a] @ mats[b])
             continue
         out = mats[into]
@@ -480,7 +479,7 @@ def _run(bound, entries):
         if first is None:
             out.fill(0)
         else:
-            a, adj, coef = first
+            a, adj, _, coef = first
             if adj:
                 np.conjugate(np.multiply(mats[a].T, coef, out=out), out=out)
             else:

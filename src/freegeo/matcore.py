@@ -44,9 +44,9 @@ class Seed:
     uniforms (``gibbs._chain_rngs``): a chain reads its streams in order, in
     blocks, and never needs Philox's counter jumps, and SFC64 fills normals
     faster.  The children's spawn keys are two entries long, so no chain
-    stream shares its sequence with a ``Seed``.  Two draws with the same (master_seed, stream_id) produce
-    identical output; distinct stream_ids give independent streams for
-    parallel chains.
+    stream shares its sequence with a ``Seed``.  Two draws with the same
+    (master_seed, stream_id) produce identical output; distinct stream_ids
+    give independent streams for parallel chains.
     """
 
     master_seed: int = 0
