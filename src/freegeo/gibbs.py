@@ -424,15 +424,20 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
     d_re = d.reshape(-1).view(np.float64)
     prop, g_sum = (np.empty((m, n, n), dtype=np.complex128) for _ in range(2))
     # Block draws: each stream fills the draws of up to ``block`` steps in one
-    # call, into buffers a phase reuses, and log u is taken for the whole
-    # block.  A phase knows its length and its fills stop at its last step, so
-    # no draw is left unused, and since each stream is read in order the
-    # chain's bits do not depend on the block length.
+    # call, into the chain's one pair of reused buffers, and log u is taken
+    # for the whole block.  A phase knows its length and its fills stop at its
+    # last step, so no draw is left unused, and since each stream is read in
+    # order the chain's bits do not depend on the block length.
     block = max(1, _BLOCK_BYTES // d_re.nbytes)
+    noise_buf, u_buf = np.empty((0, d_re.size)), np.empty(0)
 
     def draws(steps):
         """(noise, log u) for each of the next ``steps`` steps."""
-        noise, u = np.empty((min(block, steps), d_re.size)), np.empty(min(block, steps))
+        nonlocal noise_buf, u_buf
+        rows = min(block, steps)
+        if len(u_buf) < rows:  # grows to the longest phase's block
+            noise_buf, u_buf = np.empty((rows, d_re.size)), np.empty(rows)
+        noise, u = noise_buf, u_buf
         for start in range(0, steps, block):
             k = min(block, steps - start)
             noise_rng.standard_normal(out=noise[:k])
