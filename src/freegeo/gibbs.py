@@ -2,10 +2,12 @@
 
 Potentials are strongly convex scalar functions of a MatrixTuple.  A trace
 polynomial's value and its cyclic-derivative gradient come from one call of
-``logic.trace_pass``, which follows a plan compiled once per set of slot
+``logic.trace_pass``, which follows a plan built once per set of slot
 words: duplicate words merged, each distinct product built once (the
 quadratic needs none, the quartic two), and each word's value read as an
-O(n^2) contraction of a product the gradient also uses.  Sampling is
+O(n^2) contraction of a product the gradient also uses.  The plan is
+written out once as straight-line numpy code, so a call interprets none
+of it.  Sampling is
 Metropolis-adjusted Langevin in the tr_n metric on raw (m, n, n) arrays.  The
 step starts at the dimension-scaled 0.5 (2mn^2)^(-1/3) / (c n^2) and is tuned
 during burn-in only, by dual averaging of its log toward the middle of the
@@ -15,8 +17,8 @@ chain reports and the autocorrelation time that sets thinning, so the
 recorded chain satisfies detailed balance at a measured step.  The sampler
 asks three things of a potential: ``c``, ``formula_text()`` and ``bind(m)``,
 the value-and-gradient kernel a chain binds once; for ``Potential`` that is
-the ``logic.bind_trace`` kernel itself (the plan and the coefficient sums bound
-once).  The chain state lives in the step's closure; each step makes one
+the ``logic.bind_trace`` kernel itself (the plan's compiled code with its
+coefficients and gradient sums bound once).  The chain state lives in the step's closure; each step makes one
 kernel call, scales its row of a block of normals into the real view of the
 increment buffer (real and imaginary parts interleaved), compares a log
 uniform of a block of acceptance draws, and does its arithmetic in reused

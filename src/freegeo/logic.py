@@ -7,17 +7,21 @@ connectives.  Syntax: adjoint is a postfix prime (``x1'``), products inside
 
 Atoms are compiled to slot words once per ``evaluate`` call, and one kernel,
 ``trace_pass``, evaluates every trace polynomial from such words, following
-a plan it compiles once per set of words: duplicate words merged, each
+a plan it builds once per set of words: duplicate words merged, each
 distinct matrix product built once, adjoints read as conjugate transposes
-and values as O(n^2) contractions.  ``qf_type`` reads every word's moment
-through the same plans.
+and values as O(n^2) contractions.  Each plan is written out once as
+straight-line numpy code and compiled (``_emit``), so no call interprets
+it; ``bind_trace`` binds a plan's kernel to one coefficient set, and
+``qf_type`` reads every word's moment from code emitted from the same
+plans.
 
 Quantified values are computed by projected multistart gradient search over
 the ball (one start when the body is certified concave in the quantified
 variable, convex for inf, by the composition rules of ``_curvature``), with
 the analytic gradient (cyclic derivative plus envelope rule):
 one pass over the compiled formula gives a node's value and its gradient,
-atoms through ``trace_pass``, connectives by the chain rule (fixed one-sided
+atoms through kernels bound once per atom and gradient slots for the call
+(``bind_trace``), connectives by the chain rule (fixed one-sided
 choices at kinks), and a nested sup/inf through the gradient of its body at
 its best point (Danskin's envelope rule).  Each ascent ends on a
 projected-gradient certificate, checked before a line-search trial is
@@ -34,7 +38,7 @@ import functools
 import math
 import re as _re
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -285,6 +289,9 @@ class _TracePlan(NamedTuple):
     steps: tuple  # (a, b, into): mats[a] @ mats[b] (mats[a]^H if b is None), in mats[into]'s array
     reads: tuple[tuple[int, bool, int, int], ...]  # (form, conj, a, b) per distinct word
     grads: tuple | None  # per gradient slot: ((a, adjoint, coefs, in_place), ...), identity coefs
+    source: str  # the code ``_emit`` compiled from the five fields above
+    kernel: Callable  # kernel(coefs, sums, entries) -> (value, gradient or None)
+    traces: Callable  # traces(entries) -> Tr of each distinct word, in the order of reads
 
 
 @functools.lru_cache(maxsize=256)
@@ -304,7 +311,9 @@ def _trace_plan(words: tuple, grad_slots: tuple | None) -> _TracePlan:
     or 1 (form 0), conjugated if ``conj``.  The gradient in a slot is the sum
     over its (matrix, adjoint) groups of the group's summed coefficients
     times the matrix or its adjoint, plus its identity coefficients on the
-    diagonal; a coefficient is (word, conj).
+    diagonal; a coefficient is (word, conj).  The plan carries its code:
+    ``_emit`` writes these fields out once as the plan's ``kernel`` and
+    ``traces``.
     """
     index: dict = {}
     merge = tuple(index.setdefault(w, len(index)) for w in words)
@@ -390,7 +399,90 @@ def _trace_plan(words: tuple, grad_slots: tuple | None) -> _TracePlan:
         steps[t] = (a, b, free.pop() if free else None)
         free += [k for k in dict.fromkeys((a, b)) if k is not None and k >= len(slots)
                  and last_step[k] == t and k not in kept]
-    return _TracePlan(merge, slots, tuple(steps), tuple(reads), grads)
+    steps, reads = tuple(steps), tuple(reads)
+    return _TracePlan(merge, slots, steps, reads, grads, *_emit(slots, steps, reads, grads))
+
+
+def _emit(slots, steps, reads, grads):
+    """(source, kernel, traces): a plan's slots, steps, reads and gradient groups
+    written out as straight-line numpy code, compiled once.
+
+    ``kernel(coefs, sums, entries)`` builds the products of ``steps`` (mats[k]
+    is the local ``m<k>``), reads each distinct word and sums coefs[u] tr / n
+    over them in read order; with gradient slots it then writes each slot's
+    gradient, per group the summed coefficient times the product or its
+    adjoint (in place into a product no later group reads), plus the
+    identity coefficient on the diagonal.  ``traces(entries)`` builds the
+    same products and returns the reads.  Every index, read form, flag and
+    output array is a literal of the source; the merged coefficients and
+    ``sums``, the gradient groups' summed coefficients in slot and group
+    order with each slot's identity coefficient last, are arguments, so one
+    kernel serves every coefficient set of its plan.  A conjugated letter is
+    the transpose of a C-ordered array, so a step that reuses its array
+    writes into that transpose.
+    """
+    body = [f"m{k} = entries[{j}]" for k, j in enumerate(slots)]
+    conjugated = set()  # mats that are the transpose of their array
+    for k, (a, b, into) in enumerate(steps, len(slots)):
+        if into is None:  # a fresh array: no out= keyword for numpy to parse
+            rhs = f"np.conjugate(m{a}).T" if b is None else f"m{a} @ m{b}"
+        else:
+            out = f"m{into}.T" if into in conjugated else f"m{into}"
+            rhs = (f"np.conjugate(m{a}, out={out}).T" if b is None
+                   else f"np.matmul(m{a}, m{b}, out={out})")
+        if b is None:
+            conjugated.add(k)
+        body.append(f"m{k} = {rhs}")
+    body.append("n = m0.shape[0]" if slots else "n = entries[0].shape[0]")
+
+    trs = []
+    for form, conj, a, b in reads:
+        if form == 2:  # the common form, and never conjugated
+            trs.append(f"np.vdot(m{a}, m{b})")
+            continue
+        if form == 1:  # the reduction ndarray.trace runs, without its wrapper
+            tr = f"np.add.reduce(m{a}.diagonal())"
+        elif form == 3:
+            tr = f'np.einsum("ij,ji->", m{a}, m{b})'
+        else:
+            tr = "n"
+        trs.append(f"{tr}.conjugate()" if conj else tr)
+
+    tail = ["value = 0.0"] + [f"value += coefs[{u}] * {tr} / n" for u, tr in enumerate(trs)]
+    if grads is None:
+        tail.append("return value, None")
+    else:
+        tail.append(f"grad = np.empty(({len(grads)}, n, n), dtype=np.complex128)")
+        i = 0  # the next index into sums
+        for s, (groups, eye) in enumerate(grads):
+            tail.append(f"g = grad[{s}]")
+            if not groups:
+                tail.append("g.fill(0)")
+            for k, (a, adj, _, in_place) in enumerate(groups):
+                mat, coef = f"m{a}.T" if adj else f"m{a}", f"sums[{i}]"
+                i += 1
+                if k == 0:  # the first group writes the slot's array
+                    tail.append(f"np.conjugate(np.multiply({mat}, {coef}, out=g), out=g)"
+                                if adj else f"np.multiply({mat}, {coef}, out=g)")
+                elif adj:
+                    tail += ([f"part = {mat}", f"np.multiply(part, {coef}, out=part)"]
+                             if in_place else [f"part = np.multiply({mat}, {coef})"])
+                    tail += ["np.conjugate(part, out=part)", "g += part"]
+                else:
+                    tail.append(f"g += np.multiply({mat}, {coef}, out={mat})"
+                                if in_place else f"g += np.multiply({mat}, {coef})")
+            if eye:
+                tail += ["diag = g.reshape(-1)[::n + 1]", f"diag += sums[{i}]"]
+                i += 1
+        tail.append("return value, grad")
+
+    indent = "\n    "
+    source = (f"def kernel(coefs, sums, entries):{indent}{indent.join(body + tail)}\n\n\n"
+              f"def traces(entries):{indent}{indent.join(body)}{indent}"
+              f"return [{', '.join(trs)}]\n")
+    namespace = {"np": np}
+    exec(compile(source, "<trace plan>", "exec"), namespace)
+    return source, namespace["kernel"], namespace["traces"]
 
 
 def _sum_coefs(coefs, spec):
@@ -401,14 +493,13 @@ def _sum_coefs(coefs, spec):
 
 
 def _bind(terms, grad_slots):
-    """(plan, merged coefficient per distinct word, gradient program or None).
+    """(plan, merged coefficient per distinct word, summed gradient coefficients or None).
 
-    The gradient program holds, per gradient slot, its first group (a, adj,
-    in_place, coef) or None, its later groups and its identity coefficient or
-    None.  The first group writes the slot's array, so its in_place flag goes
-    unread.  A group's coef is its summed coefficient,
-    conjugated for an adjoint group, since coef M^H = conj(conj(coef) M^T)
-    needs no conjugate copy of the product.
+    The sums hold, per gradient slot, each of its groups' summed
+    coefficients, then its identity coefficient if it has one: the order in
+    which the plan's kernel reads them.  A group's sum is conjugated for an
+    adjoint group, since coef M^H = conj(conj(coef) M^T) needs no conjugate
+    copy of the product.
     """
     plan = _trace_plan(tuple([w for _, w in terms]),
                        None if grad_slots is None else tuple(grad_slots))
@@ -417,94 +508,27 @@ def _bind(terms, grad_slots):
         coefs[u] += coef
     if plan.grads is None:
         return plan, coefs, None
-    program = []
+    sums = []
     for groups, eye in plan.grads:
-        summed = []
-        for a, adj, spec, in_place in groups:
+        for _, adj, spec, _ in groups:
             coef = _sum_coefs(coefs, spec)
             # a numpy scalar: the exact value np.multiply would convert it to
-            summed.append((a, adj, in_place, np.complex128(coef.conjugate() if adj else coef)))
-        first = summed.pop(0) if summed else None
-        program.append((first, tuple(summed),
-                        np.complex128(_sum_coefs(coefs, eye)) if eye else None))
-    return plan, coefs, tuple(program)
-
-
-def _products(plan, entries):
-    """The slot matrices, then the product each step of ``plan`` builds."""
-    mats = [entries[j] for j in plan.slots]
-    for a, b, into in plan.steps:
-        if into is None:  # a fresh array: no out= keyword for numpy to parse
-            mats.append(np.conjugate(mats[a]).T if b is None else mats[a] @ mats[b])
-            continue
-        out = mats[into]
-        if not out.flags.c_contiguous:  # a conjugated letter, kept as the transpose of its array
-            out = out.T
-        mats.append(np.conjugate(mats[a], out=out).T if b is None
-                    else np.matmul(mats[a], mats[b], out=out))
-    return mats
-
-
-def _traces(plan, mats, n) -> list:
-    """Tr (not tr_n) of each distinct word of ``plan``, in the order of its reads."""
-    trs = []
-    for form, conj, a, b in plan.reads:
-        if form == 2:  # the common form, and never conjugated
-            trs.append(np.vdot(mats[a], mats[b]))
-            continue
-        if form == 1:  # the reduction ndarray.trace runs, without its wrapper
-            tr = np.add.reduce(mats[a].diagonal())
-        elif form == 3:
-            tr = np.einsum("ij,ji->", mats[a], mats[b])
-        else:
-            tr = n
-        trs.append(tr.conjugate() if conj else tr)
-    return trs
-
-
-def _run(bound, entries):
-    """The matrix work of ``trace_pass`` for a plan, coefficients and gradient
-    program from ``_bind``."""
-    plan, coefs, program = bound
-    mats = _products(plan, entries)
-    n = (mats[0] if mats else entries[0]).shape[0]
-    total = 0.0
-    for coef, tr in zip(coefs, _traces(plan, mats, n)):
-        total += coef * tr / n
-    if program is None:
-        return total, None
-    grad = np.empty((len(program), n, n), dtype=np.complex128)
-    for s, (first, rest, eye) in enumerate(program):
-        out = grad[s]
-        if first is None:
-            out.fill(0)
-        else:
-            a, adj, _, coef = first
-            if adj:
-                np.conjugate(np.multiply(mats[a].T, coef, out=out), out=out)
-            else:
-                np.multiply(mats[a], coef, out=out)
-        for a, adj, in_place, coef in rest:
-            mat = mats[a].T if adj else mats[a]
-            part = np.multiply(mat, coef, out=mat if in_place else None)
-            if adj:
-                np.conjugate(part, out=part)
-            out += part
-        if eye is not None:
-            diag = out.reshape(-1)[:: n + 1]
-            diag += eye
-    return total, grad
+            sums.append(np.complex128(coef.conjugate() if adj else coef))
+        if eye:
+            sums.append(np.complex128(_sum_coefs(coefs, eye)))
+    return plan, coefs, sums
 
 
 def bind_trace(terms, grad_slots=None):
     """``trace_pass(terms, ., grad_slots)`` as a function of ``entries`` alone.
 
     The plan lookup, the merged coefficients of duplicate words and the
-    coefficient sum of every gradient group are done here, once; each call
-    then runs only the matrix work, the same floating-point operations as
-    ``trace_pass``.
+    coefficient sum of every gradient group are done here, once: the result
+    is the plan's compiled kernel with them bound, so each call runs only
+    the matrix work, the same floating-point operations as ``trace_pass``.
     """
-    return functools.partial(_run, _bind(terms, grad_slots))
+    plan, coefs, sums = _bind(terms, grad_slots)
+    return functools.partial(plan.kernel, coefs, sums)
 
 
 def trace_pass(terms, entries, grad_slots=None):
@@ -524,10 +548,12 @@ def trace_pass(terms, entries, grad_slots=None):
     transposes, each value is an O(n^2) contraction of a product the
     gradient also uses with the word's last letter, and gradient
     contributions are summed per (slot, product) before they are scaled.
-    A caller that evaluates the same terms many times binds them once with
-    ``bind_trace``.
+    The plan is written out once as straight-line numpy code (``_emit``),
+    so a call interprets nothing of it.  A caller that evaluates the same
+    terms many times binds them once with ``bind_trace``.
     """
-    return _run(_bind(terms, grad_slots), entries)
+    plan, coefs, sums = _bind(terms, grad_slots)
+    return plan.kernel(coefs, sums, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +882,9 @@ def _evaluate(f: Formula, x: MatrixTuple, opts: EvalOptions | None, slots):
 class _SlotAtom(Formula):
     terms: tuple[Term, ...]
     take_real: bool
+    # gradient slots -> bind_trace(terms, slots), bound on first use; the tree
+    # that ``_compile`` builds lives for one call, and so do its kernels
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -970,13 +999,17 @@ def _eval_node(f, env, opts, slots=None):
 
     The gradient is taken with respect to the slots in ``slots`` and stacked
     as a (len(slots), n, n) array; it is None when ``slots`` is None.  Atoms
-    take the cyclic derivative from ``trace_pass``, connectives the chain
-    rule, and quantifiers the envelope rule (see ``_eval_quant``).
+    take the cyclic derivative from their ``bind_trace`` kernel for these
+    slots, bound on the atom's first visit, connectives the chain rule, and
+    quantifiers the envelope rule (see ``_eval_quant``).
     """
     if isinstance(f, Const):
         return f.value, _zero_gradient(env, slots)
     if isinstance(f, _SlotAtom):
-        val, grad = trace_pass(f.terms, env, slots)
+        kernel = f.kernels.get(slots)
+        if kernel is None:
+            kernel = f.kernels[slots] = bind_trace(f.terms, slots)
+        val, grad = kernel(env)
         if not f.take_real:
             scale = max(1.0, abs(val))
             if abs(val.imag) > _IMAG_TOL * scale:
@@ -1223,7 +1256,7 @@ def qf_type(x: MatrixTuple, max_degree: int) -> QfType:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     words, _, plan = _qf_words(x.m, max_degree)
-    traces = _traces(plan, _products(plan, x.entries), x.n)
+    traces = plan.traces(x.entries)
     return QfType(x.m, max_degree, {w: complex(tr / x.n) for w, tr in zip(words, traces)})
 
 

@@ -68,7 +68,9 @@ def _pair_cost(a: Ensemble, b: Ensemble, perm: np.ndarray) -> float:
 
 
 def _ensemble_hash(e: Ensemble) -> str:
-    return hashlib.sha256(np.ascontiguousarray(e.samples).tobytes()).hexdigest()[:16]
+    """The first 16 hex digits of SHA-256 over the samples' bytes, read from the array's
+    own buffer (``tobytes`` would copy a large_n ensemble first)."""
+    return hashlib.sha256(np.ascontiguousarray(e.samples)).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

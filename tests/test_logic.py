@@ -656,12 +656,23 @@ def test_ascent_iteration_makes_constant_trace_passes(monkeypatch):
     n = 6
     x = random_tuple(n, 1, np.random.default_rng(23))
     counts = {"trace_pass": 0, "_project_ball": 0}
-    for name in counts:
-        def spy(*args, name=name, real=getattr(logic, name)):
-            counts[name] += 1
-            return real(*args)
+    project, bind = logic._project_ball, logic.bind_trace
 
-        monkeypatch.setattr(logic, name, spy)
+    def spy_project(*args):
+        counts["_project_ball"] += 1
+        return project(*args)
+
+    def spy_bind(terms, grad_slots=None):  # a trace pass is one call of a bound kernel
+        kernel = bind(terms, grad_slots)
+
+        def run(entries):
+            counts["trace_pass"] += 1
+            return kernel(entries)
+
+        return run
+
+    monkeypatch.setattr(logic, "_project_ball", spy_project)
+    monkeypatch.setattr(logic, "bind_trace", spy_bind)
     logic.evaluate(delta_predicate(1.0), x, EvalOptions(starts=1, iters=1))
     trials = counts["_project_ball"] - 1
     assert trials >= 1
@@ -919,6 +930,35 @@ def kernel_pin_outputs():
         t = logic.qf_type(random_tuple(n, m, rng), degree)
         out += list(t.moments.values())
     return out
+
+
+def test_each_plan_is_compiled_once(monkeypatch):
+    # the compiled kernel lives on the cached plan: binding the same terms
+    # again, a trace pass on the same words with other coefficients and a
+    # second qf_type compile nothing new
+    emitted = []
+    emit = logic._emit
+
+    def spy(*args):
+        emitted.append(args)
+        return emit(*args)
+
+    monkeypatch.setattr(logic, "_emit", spy)
+    logic._trace_plan.cache_clear()
+    logic._qf_words.cache_clear()
+    rng = np.random.default_rng(26)
+    x = random_tuple(3, 2, rng)
+    terms = [(0.5, ((0, True), (0, False))), (0.25j, ((0, False), (1, True), (1, False)))]
+    first, second = logic.bind_trace(terms, (0, 1)), logic.bind_trace(terms, (0, 1))
+    assert len(emitted) == 1
+    for a, b in zip(first(x.entries), second(x.entries)):
+        assert np.array_equal(a, b)
+    for scale in (1.0, -2.0):
+        logic.trace_pass([(scale * c, w) for c, w in terms], x.entries)
+    assert len(emitted) == 2
+    logic.qf_type(x, 3)
+    logic.qf_type(random_tuple(3, 2, rng), 3)
+    assert len(emitted) == 3
 
 
 def test_kernel_pin_covers_every_plan_feature():

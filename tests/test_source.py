@@ -6,21 +6,66 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "freegeo"
 
 
+def _trees():
+    """(file, AST) for every module under src/freegeo."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC), ast.parse(path.read_text(), filename=str(path))
+
+
+def _attr_calls(tree, attr: str):
+    """Every call of a ``<module>.<attr>`` in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+
 def _calls(attr: str):
     """(file, line, call) for every call of a ``<module>.<attr>`` under src/freegeo."""
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == attr):
-                yield path.relative_to(SRC), node.lineno, node
+    for path, tree in _trees():
+        for node in _attr_calls(tree, attr):
+            yield path, node.lineno, node
+
+
+def _wide_einsum_lines(calls):
+    # numpy runs an unoptimized einsum of three or more operands as one nested
+    # loop over every index (O(m n^4) for U X U*); two matmuls are O(m n^3)
+    return [call.lineno for call in calls
+            if len(call.args) - 1 > 2 and not any(k.arg == "optimize" for k in call.keywords)]
 
 
 def test_einsum_calls_have_at_most_two_operands_or_optimize():
-    # numpy runs an unoptimized einsum of three or more operands as one nested
-    # loop over every index (O(m n^4) for U X U*); two matmuls are O(m n^3)
-    bad = [f"{path}:{line}" for path, line, call in _calls("einsum")
-           if len(call.args) - 1 > 2 and not any(k.arg == "optimize" for k in call.keywords)]
+    bad = [f"{path}:{line}" for path, tree in _trees()
+           for line in _wide_einsum_lines(_attr_calls(tree, "einsum"))]
     assert not bad, f"einsum with more than two operands and no optimize=: {bad}"
+
+
+def test_code_is_compiled_only_by_the_trace_plan_compiler():
+    # logic._emit writes each trace plan out as source and compiles it; no
+    # other code runs exec, compile or eval
+    tree = ast.parse((SRC / "logic.py").read_text())
+    emit = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_emit")
+    allowed = {("logic.py", node.lineno) for node in ast.walk(emit) if isinstance(node, ast.Name)}
+    found = {(str(path), node.lineno) for path, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in ("exec", "compile", "eval")}
+    assert found and found <= allowed, f"exec, compile or eval outside logic._emit: {found - allowed}"
+
+
+def test_emitted_trace_plans_parse_and_keep_the_einsum_rule():
+    # the AST scan above sees no generated code: check the source each
+    # kernel-pin plan compiled to (every read form, adjoint and in-place group)
+    from test_logic import _PIN_GRAD_SLOTS, _pin_term_lists
+
+    from freegeo import logic
+
+    einsums = 0
+    for terms in _pin_term_lists():
+        for slots in _PIN_GRAD_SLOTS:
+            plan = logic._trace_plan(tuple(w for _, w in terms), slots)
+            tree = ast.parse(plan.source)
+            assert [f.name for f in tree.body] == ["kernel", "traces"]
+            calls = _attr_calls(tree, "einsum")
+            einsums += len(calls)
+            assert not _wide_einsum_lines(calls), plan.source
+    assert einsums > 0
 
 
 def test_largest_singular_values_come_from_one_routine():

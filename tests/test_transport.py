@@ -1,5 +1,7 @@
 """Empirical W2, spectral couplings, displacement, 1-D Kantorovich potentials."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -434,3 +436,12 @@ def test_plan_serialization_fields():
     blob = plan.to_json()
     assert set(blob) == {"source", "target", "permutation", "cost"}
     assert blob["source"] == blob["target"]
+
+
+def test_ensemble_hash_reads_the_sample_bytes():
+    # SHA-256 of the samples' own buffer: the digest of their bytes, as the
+    # copying ``tobytes`` hash gave (literal recorded with it)
+    e = gibbs.Ensemble(np.arange(18).reshape(2, 1, 3, 3) * (1 + 0.5j))
+    assert tp._ensemble_hash(e) == "9301fc8b3b07131b"
+    big = random_ensemble(5, 4, 2)
+    assert tp._ensemble_hash(big) == hashlib.sha256(big.samples.tobytes()).hexdigest()[:16]
