@@ -1,8 +1,13 @@
 """Potentials, MALA sampling against exact Gaussian oracles, diagnostics, file IO."""
 
 import hashlib
+import importlib.util
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +296,51 @@ def test_sampler_determinism():
     a = gibbs.sample_gibbs(pot, 6, 1, 40, opts)
     b = gibbs.sample_gibbs(pot, 6, 1, 40, opts)
     assert a.samples.tobytes() == b.samples.tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a chain at n = 128, where np.vdot and np.dot sum 16,384 or more entries and
+# a threaded OpenBLAS splits those sums by thread
+CHAIN_128_SCRIPT = """
+import hashlib
+from freegeo import gibbs, matcore as mc
+opts = gibbs.SamplerOptions(seed=mc.Seed(7, 3), adapt_steps=100, pilot_steps=50)
+ens = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 128, 1, 2, opts)
+print(hashlib.sha256(ens.samples.tobytes()).hexdigest())
+"""
+
+
+def _fresh_process(script, threads):
+    """Standard output of ``python -c script`` with OPENBLAS_NUM_THREADS set to
+    ``threads``, or unset if it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, timeout=120, env=env).stdout.strip()
+
+
+def test_n128_chain_bits_do_not_depend_on_the_cpu_count():
+    # freegeo sets one BLAS thread before numpy loads, unless the caller chose
+    assert _fresh_process(CHAIN_128_SCRIPT, None) == _fresh_process(CHAIN_128_SCRIPT, "1")
+    script = "import os, freegeo; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_process(script, "2") == "2"
+
+
+def test_this_process_runs_blas_on_the_thread_count_freegeo_sets():
+    # tests/conftest.py imports freegeo before any test module loads numpy
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        pytest.skip("OPENBLAS_NUM_THREADS was set to another count")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_envinfo", SRC.parent / "perfbench" / "envinfo.py")
+    envinfo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envinfo)
+    threads, source = envinfo._blas_threads()
+    if "get_num_threads" not in source:
+        pytest.skip(f"no OpenBLAS library to ask for its thread count ({source})")
+    assert threads == 1
 
 
 # SHA-256 of sample_gibbs(...).samples: any change to a floating-point operation

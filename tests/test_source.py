@@ -68,6 +68,21 @@ def test_emitted_trace_plans_parse_and_keep_the_einsum_rule():
     assert einsums > 0
 
 
+def test_blas_thread_default_is_set_before_any_import():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy first loads it: an
+    # import above the setdefault (even of a freegeo module) would come too late
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    setdefault = [i for i, node in enumerate(body)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func) == "os.environ.setdefault"
+                  and [ast.literal_eval(a) for a in node.value.args]
+                  == ["OPENBLAS_NUM_THREADS", "1"]]
+    assert len(setdefault) == 1, "no os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+    early = [ast.unparse(node) for node in body[:setdefault[0]]
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert early == ["import os"], f"imports before the BLAS thread default: {early}"
+
+
 def test_largest_singular_values_come_from_one_routine():
     # matcore.sigma_max is the one sigma_max routine; _project_ball's SVD needs
     # U and V as well
