@@ -77,6 +77,8 @@ _PROX_DAMPING = 0.5
 
 
 def inner(x, y) -> float:
+    if type(x) is float and type(y) is float:  # the scalar solvers' hot path
+        return x * y
     if isinstance(x, MatrixTuple):
         return real_inner(x, y)
     if np.isscalar(x):

@@ -42,8 +42,11 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import io
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import logic
 from .convex import check_strong_convexity
-from .matcore import MatrixTuple, Seed, sigma_max, tracial_norm
+from .matcore import MatrixTuple, Seed, frozen, immutable, sigma_max, tracial_norm
 
 __all__ = [
     "Potential",
@@ -199,18 +202,21 @@ def _formula_to_poly(f: logic.Formula) -> logic.NcPolynomial:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """An immutable batch of sampled MatrixTuples (an empirical measure)."""
+    """An immutable batch of sampled MatrixTuples (an empirical measure).
+
+    ``samples`` follows ``matcore.immutable``'s ownership rule: a read-only
+    array is kept, anything else copied once, so ``tuples()``, ``ens[i]`` and
+    an ``Ensemble`` of a slice of ``samples`` share its memory.
+    """
 
     samples: np.ndarray = field(repr=False)  # (count, m, n, n) complex128
     provenance: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = immutable(self.samples)
         if arr.ndim != 4 or arr.shape[2] != arr.shape[3]:
             raise ValueError(f"expected samples of shape (count, m, n, n), got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -235,58 +241,85 @@ class Ensemble:
         return (MatrixTuple(self.samples[i]) for i in range(self.count))
 
     def mean_tuple(self) -> MatrixTuple:
-        return MatrixTuple(self.samples.mean(axis=0))
+        return MatrixTuple(frozen(self.samples.mean(axis=0)))
 
     def mean_squared_norm(self) -> float:
+        if self.count == 0:
+            raise ValueError("mean_squared_norm of an ensemble with 0 samples")
         return float(np.sum(np.abs(self.samples) ** 2) / (self.n * self.count))
 
     def conjugate_by(self, u: np.ndarray) -> "Ensemble":
-        rotated = u @ self.samples @ u.conj().T
+        rotated = frozen(u @ self.samples @ u.conj().T)
         return Ensemble(rotated, dict(self.provenance), dict(self.diagnostics))
 
 
 def save_ensemble(e: Ensemble, path) -> None:
     """Binary layout: magic, version u16, n u32, m u32, count u64, complex128
-    matrices row-major little-endian, then a trailing JSON metadata block."""
+    matrices row-major little-endian, then a trailing JSON metadata block.
+
+    The samples are written from the array's own buffer, with no copy on a
+    little-endian host."""
     meta = {"provenance": e.provenance, "diagnostics": e.diagnostics}
     with open(path, "wb") as fh:
         fh.write(FIGE_MAGIC)
         fh.write(_FIGE_HEADER.pack(FIGE_VERSION, e.n, e.m, e.count))
-        fh.write(np.ascontiguousarray(e.samples.astype("<c16")).tobytes())
+        fh.write(np.ascontiguousarray(e.samples, dtype="<c16"))
         fh.write(json.dumps(meta).encode("utf-8"))
 
 
 def load_ensemble(path) -> Ensemble:
-    """Read a FIGE file; a corrupt or inconsistent file raises ValueError naming it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a FIGE file; a corrupt or inconsistent file raises ValueError naming it.
+
+    The header is checked against the file size first; the samples are then
+    read straight into one aligned array, which the returned ensemble keeps
+    read-only with no further copy."""
     start = len(FIGE_MAGIC) + _FIGE_HEADER.size
-    if data[: len(FIGE_MAGIC)] != FIGE_MAGIC:
-        raise ValueError(f"{path}: not a FIGE ensemble file")
-    if len(data) < start:
-        raise ValueError(f"{path}: FIGE header cut off after {len(data)} bytes")
-    version, n, m, count = _FIGE_HEADER.unpack_from(data, len(FIGE_MAGIC))
-    if version != FIGE_VERSION:
-        raise ValueError(f"{path}: unsupported FIGE version {version}")
-    if n < 1 or m < 1:
-        raise ValueError(f"{path}: header declares n {n} and m {m}; both must be >= 1")
-    size = count * m * n * n
-    if 16 * size > len(data) - start:
-        raise ValueError(f"{path}: header declares {16 * size} sample bytes "
-                         f"(count {count}, m {m}, n {n}) but {len(data) - start} "
-                         f"bytes follow the header")
-    arr = np.frombuffer(data, dtype="<c16", count=size, offset=start)
-    if not np.all(np.isfinite(arr)):
+    with open(path, "rb") as fh:
+        head = fh.read(start)
+        if head[: len(FIGE_MAGIC)] != FIGE_MAGIC:
+            raise ValueError(f"{path}: not a FIGE ensemble file")
+        if len(head) < start:
+            raise ValueError(f"{path}: FIGE header cut off after {len(head)} bytes")
+        version, n, m, count = _FIGE_HEADER.unpack_from(head, len(FIGE_MAGIC))
+        if version != FIGE_VERSION:
+            raise ValueError(f"{path}: unsupported FIGE version {version}")
+        if n < 1 or m < 1:
+            raise ValueError(f"{path}: header declares n {n} and m {m}; both must be >= 1")
+        size = count * m * n * n
+
+        def short(have: int) -> ValueError:
+            return ValueError(f"{path}: header declares {16 * size} sample bytes "
+                              f"(count {count}, m {m}, n {n}) but {have} "
+                              f"bytes follow the header")
+
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            body, after_header = fh, info.st_size - start
+        else:  # a pipe has no size to check against: read what it holds first
+            rest = fh.read()
+            body, after_header = io.BytesIO(rest), len(rest)
+        if 16 * size > after_header:
+            raise short(after_header)
+        arr = np.empty(size, dtype="<c16")
+        got = body.readinto(arr)
+        if got != 16 * size:  # the file shrank after the size check
+            raise short(got)
+        # the metadata block runs to the end of the file, so a header that
+        # claims too many samples leaves an empty block or a fragment of one
+        tail = body.read()
+    # min and max propagate NaN, so both are finite exactly when every entry
+    # is, and neither allocates a temporary the size of the samples
+    parts = arr.view(np.float64)
+    if not (math.isfinite(np.min(parts, initial=0.0))
+            and math.isfinite(np.max(parts, initial=0.0))):
         raise ValueError(f"{path}: non-finite sample values")
-    # the metadata block runs to the end of the file, so a header that claims
-    # too many samples leaves an empty block or a fragment of one
     try:
-        meta = json.loads(data[start + 16 * size :].decode("utf-8"))
+        meta = json.loads(tail.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ValueError(f"{path}: corrupt FIGE metadata block: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: FIGE metadata is not a JSON object")
-    return Ensemble(arr.reshape(count, m, n, n),
+    return Ensemble(frozen(arr).reshape(count, m, n, n),
                     meta.get("provenance", {}), meta.get("diagnostics", {}))
 
 
@@ -560,7 +593,7 @@ def sample_gibbs(pot: Potential, n: int, m: int, count: int,
         "sampler": {"step": tau, "thin": thin, "adapt_steps": opts.adapt_steps,
                     "rng": "SFC64"},
     }
-    return Ensemble(out, provenance, diagnostics)
+    return Ensemble(frozen(out), provenance, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import numpy as np
 __all__ = [
     "MatrixTuple",
     "Seed",
+    "immutable",
+    "frozen",
     "trace_inner_product",
     "real_inner",
     "tracial_norm",
@@ -80,24 +82,67 @@ class Seed:
         return Seed(self.master_seed, self.stream_id * 65536 + 1 + offset)
 
 
+def _read_only_throughout(arr) -> bool:
+    """Whether nothing can write arr's memory: arr and every array down its
+    ``.base`` chain are read-only, and the chain ends at no base or at a
+    read-only buffer (``bytes``, a read-only ``mmap``)."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    if arr is None:
+        return True
+    try:
+        return memoryview(arr).readonly
+    except TypeError:
+        return False
+
+
+def immutable(values) -> np.ndarray:
+    """``values`` as a read-only, aligned, C-contiguous complex128 array that no
+    other code can write: the one ownership rule of ``MatrixTuple`` and
+    ``gibbs.Ensemble``.
+
+    An array of that layout that is read-only all the way down its ``.base``
+    chain is kept as is, so views of a tuple or an ensemble share its memory.
+    Anything else is copied once: a writable array, or a read-only view of a
+    writable base.  A dtype or layout conversion, or a list, counts as that
+    one copy.  A producer that has just allocated its array hands it over
+    with ``frozen``, uncopied.
+    """
+    arr = np.asarray(values, dtype=np.complex128, order="C")
+    fresh = (arr is not values and arr.base is None
+             and isinstance(values, (np.ndarray, list, tuple)))
+    if not fresh and not (arr.flags.aligned and _read_only_throughout(arr)):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array that its caller has just allocated, and holds no other
+    reference to, read-only and return it: ``immutable`` then keeps it."""
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """A point X in M_n^m: m dense complex n x n matrices, immutable.
 
-    The array has shape (m, n, n).  Vector-space operations and the tr_n
-    inner product are the only structure; all operations return new tuples.
+    The array has shape (m, n, n) and follows ``immutable``'s ownership rule.
+    Vector-space operations and the tr_n inner product are the only
+    structure; all operations return new tuples.
     """
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
+        arr = immutable(self.entries)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected shape (m, n, n), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("m and n must be positive")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -110,37 +155,38 @@ class MatrixTuple:
 
     @classmethod
     def zero(cls, n: int, m: int) -> "MatrixTuple":
-        return cls(np.zeros((m, n, n), dtype=np.complex128))
+        return cls(frozen(np.zeros((m, n, n), dtype=np.complex128)))
 
     @classmethod
     def from_matrices(cls, *mats: np.ndarray) -> "MatrixTuple":
-        return cls(np.stack([np.asarray(a, dtype=np.complex128) for a in mats]))
+        return cls(frozen(np.stack([np.asarray(a, dtype=np.complex128) for a in mats])))
 
     @classmethod
     def scalar(cls, values, n: int) -> "MatrixTuple":
         """Tuple of scalar multiples of the identity (c_1 I, ..., c_m I)."""
         vals = np.atleast_1d(np.asarray(values, dtype=np.complex128))
         eye = np.eye(n, dtype=np.complex128)
-        return cls(np.stack([v * eye for v in vals]))
+        return cls(frozen(np.stack([v * eye for v in vals])))
 
     def __add__(self, other: "MatrixTuple") -> "MatrixTuple":
         _check_same_shape(self, other)
-        return MatrixTuple(self.entries + other.entries)
+        return MatrixTuple(frozen(self.entries + other.entries))
 
     def __sub__(self, other: "MatrixTuple") -> "MatrixTuple":
         _check_same_shape(self, other)
-        return MatrixTuple(self.entries - other.entries)
+        return MatrixTuple(frozen(self.entries - other.entries))
 
     def __mul__(self, scalar) -> "MatrixTuple":
-        return MatrixTuple(self.entries * scalar)
+        return MatrixTuple(frozen(self.entries * scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "MatrixTuple":
-        return MatrixTuple(-self.entries)
+        return MatrixTuple(frozen(-self.entries))
 
     def adjoint(self) -> "MatrixTuple":
-        return MatrixTuple(np.conj(np.swapaxes(self.entries, 1, 2)))
+        out = np.empty_like(self.entries)  # C order, as the rule keeps it
+        return MatrixTuple(frozen(np.conjugate(np.swapaxes(self.entries, 1, 2), out=out)))
 
     def norm(self) -> float:
         return tracial_norm(self)
@@ -150,7 +196,7 @@ class MatrixTuple:
 
     def conjugate_by(self, u: np.ndarray) -> "MatrixTuple":
         """U X U* slotwise, for a fixed n x n unitary U."""
-        return MatrixTuple(u @ self.entries @ u.conj().T)
+        return MatrixTuple(frozen(u @ self.entries @ u.conj().T))
 
 
 def _check_same_shape(x: MatrixTuple, y: MatrixTuple) -> None:
@@ -210,7 +256,7 @@ def sa_embedding(x: MatrixTuple) -> MatrixTuple:
         a = x.entries[j]
         out[2 * j] = (a + a.conj().T) / 2.0
         out[2 * j + 1] = (a - a.conj().T) / 2.0j
-    return MatrixTuple(out)
+    return MatrixTuple(frozen(out))
 
 
 def sa_embedding_inverse(y: MatrixTuple) -> MatrixTuple:
@@ -221,7 +267,7 @@ def sa_embedding_inverse(y: MatrixTuple) -> MatrixTuple:
     out = np.empty((m, y.n, y.n), dtype=np.complex128)
     for j in range(m):
         out[j] = y.entries[2 * j] + 1.0j * y.entries[2 * j + 1]
-    return MatrixTuple(out)
+    return MatrixTuple(frozen(out))
 
 
 def sample_ginibre(n: int, m: int, seed: Seed) -> MatrixTuple:
@@ -232,7 +278,7 @@ def sample_ginibre(n: int, m: int, seed: Seed) -> MatrixTuple:
     scale = 1.0 / np.sqrt(2.0 * n)
     re = rng.standard_normal((m, n, n))
     im = rng.standard_normal((m, n, n))
-    return MatrixTuple(scale * (re + 1.0j * im))
+    return MatrixTuple(frozen(scale * (re + 1.0j * im)))
 
 
 def sample_gue(n: int, seed: Seed) -> np.ndarray:

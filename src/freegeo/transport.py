@@ -21,6 +21,7 @@ import numpy as np
 
 from .convex import ScalarFn
 from .gibbs import Ensemble
+from .matcore import frozen
 
 __all__ = [
     "TransportPlan",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 MAX_EXACT_COUNT = 4096
+_PAIR_BLOCK_BYTES = 1 << 20  # differences that _pair_cost holds at once
 
 
 class SinkhornError(RuntimeError):
@@ -62,9 +64,25 @@ def _cost_matrix(a: Ensemble, b: Ensemble) -> np.ndarray:
 
 
 def _pair_cost(a: Ensemble, b: Ensemble, perm: np.ndarray) -> float:
-    """Mean of ||x_i - y_perm(i)||_{tr_n}^2 by direct differences over the pairs only."""
+    """Mean of ||x_i - y_perm(i)||_{tr_n}^2 by direct differences over the pairs only.
+
+    The rows go in blocks of about ``_PAIR_BLOCK_BYTES`` of differences; each
+    row's sum is the one a single pass over all rows gives, so the bits do not
+    depend on the block size."""
     fa, fb = _flat(a), _flat(b)
-    return float((np.sum(np.abs(fa - fb[perm]) ** 2, axis=1) / a.n).mean())
+    rows = min(a.count, max(1, _PAIR_BLOCK_BYTES // max(1, fa.shape[1] * fa.itemsize)))
+    diff = np.empty((rows, fa.shape[1]), dtype=fa.dtype)
+    sq = np.empty(diff.shape)
+    sums = np.empty(a.count)
+    for i in range(0, a.count, rows):
+        k = min(rows, a.count - i)
+        # the indices are a permutation, so "clip" changes none; it lets take
+        # write into the buffer with no temporary of its own
+        np.take(fb, perm[i : i + k], axis=0, out=diff[:k], mode="clip")
+        np.subtract(fa[i : i + k], diff[:k], out=diff[:k])
+        np.abs(diff[:k], out=sq[:k])
+        sums[i : i + k] = np.sum(np.square(sq[:k], out=sq[:k]), axis=1)
+    return float((sums / a.n).mean())
 
 
 def _ensemble_hash(e: Ensemble) -> str:
@@ -124,6 +142,9 @@ def empirical_w2(a: Ensemble, b: Ensemble, method: str = "exact",
     from scipy.optimize import linear_sum_assignment
 
     _check_compatible(a, b)
+    if a.count == 0 or b.count == 0:
+        raise ValueError(f"empirical W2 needs samples on both sides, got {a.count} "
+                         f"and {b.count} samples")
     if method not in ("exact", "sinkhorn"):
         raise ValueError(f"unknown method {method!r}")
     if a.count != b.count:
@@ -213,7 +234,7 @@ def displacement(plan: TransportPlan, t: float) -> Ensemble:
         "source": _ensemble_hash(plan.source),
         "target": _ensemble_hash(plan.target),
     }
-    return Ensemble(mixed, prov, {})
+    return Ensemble(frozen(mixed), prov, {})
 
 
 def hermitian_spectra(mats: np.ndarray) -> np.ndarray:
@@ -271,7 +292,7 @@ class Quantile1D:
 
     def quantile(self, u) -> np.ndarray:
         """Left-continuous empirical quantile function at levels u in (0, 1)."""
-        idx = np.minimum((np.asarray(u) * self.count).astype(int), self.count - 1)
+        idx = np.minimum(np.asarray(np.asarray(u) * self.count, dtype=int), self.count - 1)
         return self.support[idx]
 
     def midpoint_quantiles(self, k: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Potentials, MALA sampling against exact Gaussian oracles, diagnostics, file IO."""
 
 import hashlib
+import json
 import importlib.util
 import math
 import os
@@ -304,6 +305,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # a threaded OpenBLAS splits those sums by thread
 CHAIN_128_SCRIPT = """
 import hashlib
+import json
 from freegeo import gibbs, matcore as mc
 opts = gibbs.SamplerOptions(seed=mc.Seed(7, 3), adapt_steps=100, pilot_steps=50)
 ens = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 128, 1, 2, opts)
@@ -910,3 +912,123 @@ def test_fige_fuzz_fails_clearly_or_loads_exactly(tmp_path_factory, small_fige, 
         return
     assert back.samples.tobytes() == ens.samples.tobytes()
     assert (back.provenance, back.diagnostics) == (ens.provenance, ens.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Copy-free ensembles: FIGE I/O into and out of one aligned array
+
+
+def _traced_peak(fn):
+    """(result, peak bytes that tracemalloc saw fn allocate above what was live)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def n32_fige(tmp_path_factory):
+    """256 Ginibre-like samples of two 32 x 32 matrices (8 MiB of samples) on disk."""
+    rng = np.random.default_rng(2028)
+    samples = rng.normal(size=(256, 2, 32, 32)) + 1j * rng.normal(size=(256, 2, 32, 32))
+    ens = gibbs.Ensemble(samples, {"potential": "q"}, {"acceptance_rate": 0.5})
+    path = tmp_path_factory.mktemp("n32") / "n32.fige"
+    gibbs.save_ensemble(ens, path)
+    return ens, path
+
+
+def test_load_ensemble_reads_the_samples_once(n32_fige):
+    ens, path = n32_fige
+    back, peak = _traced_peak(lambda: gibbs.load_ensemble(path))
+    assert peak <= ens.samples.nbytes + 2**20
+    assert np.array_equal(back.samples, ens.samples)
+
+
+def test_save_ensemble_writes_without_a_copy(n32_fige, tmp_path):
+    ens, path = n32_fige
+    _, peak = _traced_peak(lambda: gibbs.save_ensemble(ens, tmp_path / "again.fige"))
+    assert peak <= 2**20
+    assert (tmp_path / "again.fige").read_bytes() == path.read_bytes()
+
+
+def test_loaded_samples_are_aligned_and_read_only(n32_fige):
+    back = gibbs.load_ensemble(n32_fige[1])
+    flags = back.samples.flags
+    assert flags.aligned and flags.c_contiguous and not flags.writeable
+    assert back.samples.ctypes.data % back.samples.dtype.alignment == 0
+    with pytest.raises(ValueError):
+        back.samples[0, 0, 0, 0] = 1.0
+
+
+def test_fige_bytes_keep_the_tobytes_layout(tmp_path):
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(5, 2, 3, 3)) + 1j * rng.normal(size=(5, 2, 3, 3))
+    meta = {"provenance": {"seed": [1, 2]}, "diagnostics": {"iat": 1.5}}
+    path = tmp_path / "layout.fige"
+    gibbs.save_ensemble(gibbs.Ensemble(samples, meta["provenance"], meta["diagnostics"]), path)
+    old = (b"FIGE" + struct.pack("<HIIQ", 1, 3, 2, 5)
+           + np.ascontiguousarray(samples.astype("<c16")).tobytes()
+           + json.dumps(meta).encode("utf-8"))
+    assert path.read_bytes() == old
+
+
+def test_ensemble_copies_writable_samples_and_shares_read_only_ones(n32_fige):
+    a = np.random.default_rng(4).normal(size=(4, 1, 2, 2)) + 0j
+    ens = gibbs.Ensemble(a)
+    a[:] = 9.0
+    assert not np.any(ens.samples == 9.0)
+    view = a[:2]
+    view.setflags(write=False)
+    assert not np.shares_memory(gibbs.Ensemble(view).samples, a)  # writable base: copied
+    loaded = gibbs.load_ensemble(n32_fige[1])
+    assert all(np.shares_memory(t.entries, loaded.samples) for t in loaded.tuples())
+    assert np.shares_memory(loaded[3].entries, loaded.samples)
+    assert np.shares_memory(gibbs.Ensemble(loaded.samples[:100]).samples, loaded.samples)
+
+
+def test_ensemble_producers_hand_over_their_fresh_array(monkeypatch):
+    handed = []
+    freeze = gibbs.frozen
+    monkeypatch.setattr(gibbs, "frozen", lambda arr: handed.append(freeze(arr)) or arr)
+    ens = gibbs.sample_gibbs(gibbs.Potential.quadratic(1.0, 1), 3, 1, 4,
+                             gibbs.SamplerOptions(seed=mc.Seed(5), adapt_steps=20,
+                                                  pilot_steps=20))
+    assert ens.samples is handed[-1]
+    u, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
+    assert ens.conjugate_by(u).samples is handed[-1]
+    assert ens.mean_tuple().entries is handed[-1]
+
+
+def test_mean_squared_norm_of_an_empty_ensemble_names_the_count():
+    empty = gibbs.Ensemble(np.zeros((0, 1, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="0 samples"):
+        empty.mean_squared_norm()
+
+
+def test_fige_loads_from_a_pipe(small_fige):
+    # a pipe has no file size, so the loader reads what it holds before
+    # checking the header against it
+    ens, blob = small_fige
+    read_end, write_end = os.pipe()
+    os.write(write_end, blob)
+    os.close(write_end)
+    try:
+        back = gibbs.load_ensemble(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert back.samples.tobytes() == ens.samples.tobytes()
+    assert (back.provenance, back.diagnostics) == (ens.provenance, ens.diagnostics)
+    read_end, write_end = os.pipe()
+    os.write(write_end, blob[:100])
+    os.close(write_end)
+    try:
+        with pytest.raises(ValueError, match="but 78 bytes follow the header"):
+            gibbs.load_ensemble(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)

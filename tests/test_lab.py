@@ -202,6 +202,18 @@ def test_talagrand_zero_tilt_degenerate():
     assert row["kl"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_half_split_bias_matches_views_of_the_ensemble(monkeypatch):
+    rng = np.random.default_rng(9)
+    ens = gibbs.Ensemble(rng.normal(size=(9, 1, 3, 3)) + 1j * rng.normal(size=(9, 1, 3, 3)))
+    seen = []
+    w2 = ex.tp.empirical_w2
+    monkeypatch.setattr(ex.tp, "empirical_w2", lambda a, b: seen.append((a, b)) or w2(a, b))
+    ex._half_split_bias(ens)
+    (a, b), = seen
+    assert np.shares_memory(a.samples, ens.samples) and np.shares_memory(b.samples, ens.samples)
+    assert np.array_equal(a.samples, ens.samples[:4]) and np.array_equal(b.samples, ens.samples[4:8])
+
+
 def test_talagrand_reports_each_chains_diagnostics():
     cfg = RunConfig.from_dict("talagrand", {"n": 4, "samples": 8, "seeds": 2})
     rep = ex.run_talagrand(cfg)

@@ -242,3 +242,72 @@ def test_seed_derive_keeps_children_apart():
     first, last = mc.Seed(5, 0).derive(0), mc.Seed(5, 0).derive(65534)
     assert (first.stream_id, last.stream_id) == (1, 65535)
     assert mc.Seed(5, 1).derive(0).stream_id == 65537
+
+
+# ---------------------------------------------------------------------------
+# Ownership: one allocation per tuple, read-only arrays shared
+
+
+def test_tuple_copies_a_writable_array_once():
+    a = RNG.normal(size=(2, 3, 3)) + 0j
+    x = mc.MatrixTuple(a)
+    kept = x.entries.copy()
+    a[:] = 7.0
+    assert np.array_equal(x.entries, kept)
+    assert not x.entries.flags.writeable
+
+
+def test_tuple_copies_a_read_only_view_of_a_writable_base():
+    a = RNG.normal(size=(2, 3, 3)) + 0j
+    view = a[:]
+    view.setflags(write=False)
+    x = mc.MatrixTuple(view)
+    a[:] = 7.0
+    assert not np.shares_memory(x.entries, a)
+    assert not np.any(x.entries == 7.0)
+
+
+def test_tuple_keeps_a_read_only_array_and_converts_once():
+    a = RNG.normal(size=(2, 4, 4)) + 1j * RNG.normal(size=(2, 4, 4))
+    a.setflags(write=False)
+    assert mc.MatrixTuple(a).entries is a
+    assert mc.MatrixTuple(a[1:]).entries.base is a  # a view of it is kept too
+    real = RNG.normal(size=(1, 3, 3))
+    x = mc.MatrixTuple(real)  # the dtype conversion is the one copy
+    assert x.entries.dtype == np.complex128 and not np.shares_memory(x.entries, real)
+    assert x.entries.flags.c_contiguous and not x.entries.flags.writeable
+    t = mc.MatrixTuple(np.swapaxes(a, 1, 2))  # a read-only but transposed view: C order
+    assert t.entries.flags.c_contiguous and np.array_equal(t.entries, np.swapaxes(a, 1, 2))
+
+
+def test_producers_hand_over_their_fresh_array(monkeypatch):
+    # every operation keeps the array it just computed: no second copy
+    handed = []
+    freeze = mc.frozen
+    monkeypatch.setattr(mc, "frozen", lambda arr: handed.append(freeze(arr)) or arr)
+    x, y = random_tuple(4, 2), random_tuple(4, 2)
+    u, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
+    makes = [lambda: x + y, lambda: x - y, lambda: 2.0 * x, lambda: -x, x.adjoint,
+             lambda: x.conjugate_by(u), lambda: mc.MatrixTuple.from_matrices(*x.entries),
+             lambda: mc.MatrixTuple.zero(4, 2), lambda: mc.MatrixTuple.scalar([1.0, 2.0], 4),
+             lambda: mc.sa_embedding(x), lambda: mc.sample_ginibre(4, 2, mc.Seed(1))]
+    for make in makes:
+        out = make()
+        assert out.entries is handed[-1]
+    assert np.array_equal(x.adjoint().entries, np.conj(np.swapaxes(x.entries, 1, 2)))
+    assert x.adjoint().entries.flags.c_contiguous
+
+
+def test_tuple_sum_allocates_its_result_only():
+    import tracemalloc
+
+    x, y = random_tuple(64, 2), random_tuple(64, 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        z = x + y
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * z.entries.nbytes

@@ -147,3 +147,21 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     unset = [f"{path}:{name}.{param}" for path, name, param, position in _defaulted_parameters()
              if not any(passed(call, param, position) for call in calls.get(name, []))]
     assert not unset, f"defaulted parameters that no call passes: {unset}"
+
+
+def test_ensemble_io_and_transport_copy_no_sample_bytes():
+    # FIGE files are read into and written from the samples' own array, and
+    # transport reads ensembles in place: a tobytes, astype or frombuffer there
+    # would bring back a full copy of an ensemble (or a misaligned view that
+    # BLAS copies); the only tobytes left keys convex's memo by value bits
+    for name in ("gibbs.py", "transport.py"):
+        tree = ast.parse((SRC / name).read_text())
+        found = [f"{name}:{call.lineno} {call.func.attr}" for attr in ("tobytes", "astype",
+                                                                      "frombuffer")
+                 for call in _attr_calls(tree, attr)]
+        assert not found, f"copying byte or dtype conversions: {found}"
+    tree = ast.parse((SRC / "convex.py").read_text())
+    key = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_point_key")
+    allowed = {("convex.py", call.lineno) for call in _attr_calls(key, "tobytes")}
+    found = {(str(path), line) for path, line, _ in _calls("tobytes")}
+    assert allowed and found == allowed, f"tobytes outside convex._point_key: {found - allowed}"

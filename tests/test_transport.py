@@ -445,3 +445,56 @@ def test_ensemble_hash_reads_the_sample_bytes():
     assert tp._ensemble_hash(e) == "9301fc8b3b07131b"
     big = random_ensemble(5, 4, 2)
     assert tp._ensemble_hash(big) == hashlib.sha256(big.samples.tobytes()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Memory: the inputs are read in place, the pair cost in bounded blocks
+
+
+def test_empirical_w2_allocates_the_cost_matrix_and_bounded_blocks():
+    import tracemalloc
+
+    a, b = random_ensemble(256, 32, 2), random_ensemble(256, 32, 2)  # 8 MiB each
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, plan = tp.empirical_w2(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 256 * 256 + 2 * 2**20
+    fa, fb = tp._flat(a), tp._flat(b)[plan.pairing]
+    assert plan.cost == float((np.sum(np.abs(fa - fb) ** 2, axis=1) / a.n).mean())
+
+
+@pytest.mark.parametrize("block", [1, 16 * 2 * 3 * 3 * 5, 1 << 30])
+def test_pair_cost_bits_do_not_depend_on_the_block(monkeypatch, block):
+    a, b = random_ensemble(37, 3, 2), random_ensemble(37, 3, 2)
+    perm = np.random.default_rng(8).permutation(37)
+    fa, fb = tp._flat(a), tp._flat(b)
+    whole = float((np.sum(np.abs(fa - fb[perm]) ** 2, axis=1) / a.n).mean())
+    monkeypatch.setattr(tp, "_PAIR_BLOCK_BYTES", block)
+    assert tp._pair_cost(a, b, perm) == whole
+
+
+@pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+def test_empty_ensembles_fail_before_any_reshape(method):
+    empty = gibbs.Ensemble(np.zeros((0, 1, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="got 0 and 0 samples"):
+        tp.empirical_w2(empty, empty, method=method)
+
+
+def test_optimal_inner_product_of_empty_ensembles_names_the_count():
+    empty = gibbs.Ensemble(np.zeros((0, 2, 3, 3), dtype=complex))
+    with pytest.raises(ValueError, match="got 0 and 0 samples"):
+        tp.optimal_inner_product(empty, empty)
+
+
+def test_displacement_hands_over_its_fresh_array(monkeypatch):
+    handed = []
+    freeze = tp.frozen
+    monkeypatch.setattr(tp, "frozen", lambda arr: handed.append(freeze(arr)) or arr)
+    a, b = random_ensemble(6, 2, 1), random_ensemble(6, 2, 1)
+    _, plan = tp.empirical_w2(a, b)
+    assert tp.displacement(plan, 0.5).samples is handed[-1]
