@@ -84,18 +84,13 @@ class Seed:
 
 def _read_only_throughout(arr) -> bool:
     """Whether nothing can write arr's memory: arr and every array down its
-    ``.base`` chain are read-only, and the chain ends at no base or at a
-    read-only buffer (``bytes``, a read-only ``mmap``)."""
+    ``.base`` chain are read-only, and the chain ends at an array that owns
+    its memory (not at a foreign buffer)."""
     while isinstance(arr, np.ndarray):
         if arr.flags.writeable:
             return False
         arr = arr.base
-    if arr is None:
-        return True
-    try:
-        return memoryview(arr).readonly
-    except TypeError:
-        return False
+    return arr is None
 
 
 def immutable(values) -> np.ndarray:
