@@ -13,8 +13,8 @@ import numpy as np
 
 from .. import entropy as en
 from .. import gibbs, logic, transport as tp
-from ..matcore import (MatrixTuple, Seed, real_inner, sample_gue, sigma_max, tensor_embed,
-                       tracial_norm)
+from ..matcore import (MatrixTuple, Seed, frozen, real_inner, sample_gue, sigma_max,
+                       tensor_embed, tracial_norm)
 from .config import RunConfig, parse_float_list, parse_str_list
 from .report import Metric, Report
 
@@ -581,10 +581,26 @@ def run_moment_matrix_scale(cfg: RunConfig) -> Report:
 # Quantifier-free concentration trend across the n-ladder
 
 
+def _quadratic_gibbs_draw(c: float, n: int, m: int, samples: int, seed: Seed) -> gibbs.Ensemble:
+    """``samples`` independent exact draws of the quadratic Gibbs law, density
+    proportional to exp(-n^2 (c/2) sum_j tr_n(x_j^* x_j)): the real and
+    imaginary parts of every entry are independent N(0, 1/(c n)), so
+    E tr_n(x_j^* x_j) = 2/c (twice the Ginibre variance of ``sample_ginibre``
+    at c = 1).  One Philox fill of the flat real view, scaled in place."""
+    out = np.empty((samples, m, n, n), dtype=np.complex128)
+    flat = out.reshape(-1).view(np.float64)
+    seed.rng().standard_normal(out=flat)
+    flat *= 1.0 / math.sqrt(c * n)
+    return gibbs.Ensemble(frozen(out))
+
+
 def run_qf_convergence(cfg: RunConfig) -> Report:
+    """Spread of quantifier-free formula values along the n-ladder under the
+    quadratic Gibbs law, which is Gaussian: each rung is one exact draw
+    (``_quadratic_gibbs_draw`` over ``Seed(seed, rung)``), not a chain."""
     ladder = [int(v) for v in parse_float_list(cfg["n_ladder"])]
     formulas = parse_str_list(cfg["formulas"])
-    m = cfg["m"]
+    c, m = cfg["c"], cfg["m"]
     samples = cfg["samples"]
     if samples < 2:
         raise ValueError(f"samples must be >= 2 (the spread needs two values), got {samples}")
@@ -592,19 +608,23 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
         raise ValueError(f"n_ladder must name at least one size, got {cfg['n_ladder']!r}")
     if min(ladder) < 1:
         raise ValueError(f"n_ladder sizes must be >= 1, got {cfg['n_ladder']!r}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     report = Report("qfconv", cfg)
-    pot = gibbs.Potential.quadratic(cfg["c"], m)
     parsed = [(text, logic.parse(text)) for text in formulas]
     if not all(logic.is_quantifier_free(ast) for _, ast in parsed):
         raise ValueError("qfconv requires quantifier-free formulas")
 
     rows = []
-    chains = []  # sampler diagnostics, one row per n
+    draws = []  # how each rung's samples were made, one row per n
     stds: dict[str, list[float]] = {text: [] for text in formulas}
     for idx, n in enumerate(ladder):
-        ens = gibbs.sample_gibbs(pot, n, m, samples,
-                                 gibbs.SamplerOptions(seed=Seed(cfg["seed"], idx)))
-        chains.append({"n": n, **ens.diagnostics})
+        ens = _quadratic_gibbs_draw(c, n, m, samples, Seed(cfg["seed"], idx))
+        draws.append({"n": n, "generator": "Philox", "master_seed": cfg["seed"],
+                      "stream_id": idx,
+                      "law": f"exact: re and im of every entry iid N(0, 1/(c n)), c = {c}"})
         for text, ast in parsed:
             vals = np.array([logic.evaluate(ast, t) for t in ens.tuples()])
             sd = float(vals.std(ddof=1))
@@ -612,9 +632,9 @@ def run_qf_convergence(cfg: RunConfig) -> Report:
             rows.append({"n": n, "formula": text, "std": sd, "std_times_n": sd * n,
                          "mean": float(vals.mean())})
     report.series["ladder"] = rows
-    report.series["chains"] = chains
+    report.series["draws"] = draws
 
-    # relative sd of a std estimate is ~ 1/sqrt(2 (samples - 1))
+    # relative sd of a std estimate from independent samples is ~ 1/sqrt(2 (samples - 1))
     noise = 3.0 / math.sqrt(2.0 * (samples - 1))
     all_monotone = True
     all_endpoint = True

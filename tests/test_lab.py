@@ -1,5 +1,6 @@
 """Run configurations, reports, experiment harness, and the CLI."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -12,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freegeo import gibbs
-from freegeo.lab import experiments as ex
+from freegeo import gibbs, logic
+from freegeo.lab import cli, experiments as ex
 from freegeo.lab.cli import main as cli_main
-from freegeo.lab.config import ConfigError, RunConfig
+from freegeo.lab.config import ConfigError, RunConfig, parse_str_list
 from freegeo.lab.report import Metric, Report
 from freegeo.matcore import MatrixTuple, Seed
 
@@ -416,6 +417,11 @@ def test_cli_experiments_name_a_bad_key_before_sampling(tmp_path, capsys, monkey
     ("counterexample", "k = 0", "k must be >= 1, got 0"),
     ("counterexample", "l = -2", "l must be >= 1, got -2"),
     ("qfconv", "n_ladder = 8,0", "n_ladder sizes must be >= 1, got '8,0'"),
+    ("qfconv", "c = -1", "c must be finite and > 0, got -1.0"),
+    ("qfconv", "c = 0", "c must be finite and > 0, got 0.0"),
+    ("qfconv", "c = inf", "c must be finite and > 0, got inf"),
+    ("qfconv", "c = nan", "c must be finite and > 0, got nan"),
+    ("qfconv", "m = 0", "m must be >= 1, got 0"),
 ])
 def test_cli_experiments_reject_an_empty_grid_loop_or_size(tmp_path, capsys, monkeypatch,
                                                            command, text, message):
@@ -440,11 +446,31 @@ def test_qfconv_rejects_a_quantified_formula_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the formulas")
 
-    monkeypatch.setattr(gibbs, "sample_gibbs", no_sampling)
+    monkeypatch.setattr(ex, "_quadratic_gibbs_draw", no_sampling)
+    monkeypatch.setattr(ex.Seed, "rng", no_sampling)
     cfg = RunConfig.from_dict("qfconv", {"formulas": "re tr(x1);sup{y:1.0} re tr(y*x1)",
                                          "n_ladder": "4,8"})
     with pytest.raises(ValueError, match="qfconv requires quantifier-free formulas"):
         ex.run_qf_convergence(cfg)
+
+
+def test_qfconv_draws_each_rung_exactly_without_a_chain(monkeypatch):
+    drawn = []
+    real_draw = ex._quadratic_gibbs_draw
+
+    def spy(c, n, m, samples, seed):
+        drawn.append((c, n, m, samples, seed))
+        return real_draw(c, n, m, samples, seed)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("qfconv ran a MALA chain")
+
+    monkeypatch.setattr(ex, "_quadratic_gibbs_draw", spy)
+    monkeypatch.setattr(gibbs, "sample_gibbs", no_chain)
+    cfg = RunConfig.from_dict("qfconv", {"n_ladder": "4,8", "samples": 6, "c": 2.0,
+                                         "m": 2, "seed": 5})
+    ex.run_qf_convergence(cfg)
+    assert drawn == [(2.0, 4, 2, 6, Seed(5, 0)), (2.0, 8, 2, 6, Seed(5, 1))]
 
 
 def test_qfconv_constant_formula_zero_std():
@@ -455,9 +481,58 @@ def test_qfconv_constant_formula_zero_std():
     rep = ex.run_qf_convergence(cfg)
     assert all(r["std"] == 0.0 for r in rep.series["ladder"])
     assert rep.passed
-    # one row of sampler diagnostics per n
-    assert [r["n"] for r in rep.series["chains"]] == [4, 8]
-    assert all(r["thin"] >= 1 and r["steps"] > 0 for r in rep.series["chains"])
+    # one row per n saying how its samples were made
+    assert "chains" not in rep.series
+    assert [(r["n"], r["generator"], r["master_seed"], r["stream_id"])
+            for r in rep.series["draws"]] == [(4, "Philox", 0, 0), (8, "Philox", 0, 1)]
+    assert all("N(0, 1/(c n))" in r["law"] for r in rep.series["draws"])
+
+
+def test_quadratic_gibbs_draw_is_read_only_fresh_and_reproducible():
+    ens = ex._quadratic_gibbs_draw(1.5, 6, 2, 5, Seed(4, 2))
+    assert ens.samples.shape == (5, 2, 6, 6)
+    assert not ens.samples.flags.writeable and ens.samples.base is None
+    again = ex._quadratic_gibbs_draw(1.5, 6, 2, 5, Seed(4, 2))
+    assert np.array_equal(ens.samples, again.samples)
+
+
+@pytest.mark.parametrize("c, n, m", [(1.0, 8, 1), (2.5, 24, 3)])
+def test_quadratic_gibbs_draw_has_the_gibbs_law(c, n, m):
+    # density exp(-n^2 (c/2) sum_j tr_n(x_j* x_j)): E tr_n(x_j* x_j) = 2/c per
+    # slot.  The bound, 4 standard errors of the sample mean, was fixed first;
+    # Ginibre's scale 1/sqrt(2 c n) would put the mean at 1/c, hundreds of
+    # standard errors away
+    samples = 400
+    ens = ex._quadratic_gibbs_draw(c, n, m, samples, Seed(11, n))
+    q = np.sum(np.abs(ens.samples) ** 2, axis=(2, 3)) / n  # (samples, m)
+    se = q.std(axis=0, ddof=1) / math.sqrt(samples)
+    assert np.all(np.abs(q.mean(axis=0) - 2.0 / c) <= 4.0 * se), (q.mean(axis=0), se)
+
+
+def test_quadratic_gibbs_draw_matches_the_mala_chain_it_replaced():
+    # the default formulas' means under the exact draw and under a chain of
+    # Potential.quadratic(c, m) agree within 4 combined standard errors
+    # (fixed before the test was run; thinned chain output counts as independent)
+    c, n, m = 1.0, 8, 1
+    draw = ex._quadratic_gibbs_draw(c, n, m, 400, Seed(21, 0))
+    chain = gibbs.sample_gibbs(gibbs.Potential.quadratic(c, m), n, m, 200,
+                               gibbs.SamplerOptions(seed=Seed(21, 1)))
+    formulas = parse_str_list(RunConfig.from_dict("qfconv", {})["formulas"])
+    for text in formulas:
+        ast = logic.parse(text)
+        a = np.array([logic.evaluate(ast, t) for t in draw.tuples()])
+        b = np.array([logic.evaluate(ast, t) for t in chain.tuples()])
+        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        assert abs(a.mean() - b.mean()) <= 4.0 * se, (text, a.mean(), b.mean(), se)
+
+
+def test_qfconv_pass_rule_holds_across_seeds():
+    # samples = 24 on the default ladder, as the benchmark runs it: the
+    # 3/sqrt(2 (samples - 1)) allowance assumes independent samples, which the
+    # exact draws are.  At least 49 of seeds 0-49 pass (bound fixed first)
+    passed = sum(ex.run_qf_convergence(RunConfig.from_dict(
+        "qfconv", {"samples": 24, "seed": seed})).passed for seed in range(50))
+    assert passed >= 49
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +556,29 @@ def test_cli_error_exit_code(tmp_path, capsys):
     code = cli_main(["counterexample", "--config", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(parser, **kwargs):  # only the top-level parser adds subcommands
+        built.append(parser)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    cli._build_parser.cache_clear()
+    try:
+        cfg_file = tmp_path / "qf.cfg"
+        cfg_file.write_text("n_ladder = 4,8\nsamples = 6\n")
+        outputs = []
+        for _ in range(2):
+            code = cli_main(["qfconv", "--config", str(cfg_file)])
+            outputs.append((code, *capsys.readouterr()))
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(built) == 1
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_cli_sample_eval_w2_pipeline(tmp_path, capsys):
